@@ -75,7 +75,8 @@ class TestFrontierReachability:
         def run():
             return reachable_space(models.qrw_qts(4, 0.2),
                                    method="contraction", k1=4, k2=4,
-                                   frontier=frontier)
+                                   driver=("frontier" if frontier
+                                           else "sequential"))
 
         trace = benchmark.pedantic(run, rounds=1, iterations=1)
         benchmark.extra_info["iterations"] = trace.iterations

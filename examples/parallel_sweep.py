@@ -52,9 +52,9 @@ def sliced_strategy_demo() -> None:
 
 def fixpoint_driver_demo() -> None:
     # --- the fixpoint driver layer: same space, three schedules -----
-    # (sequential = one monolithic T(S) per round, opsharded = one
-    # image task per operation tree-reduced with joins, frontier =
-    # image only the newly added directions)
+    # (sequential = re-image the whole space each round, opsharded =
+    # one image task per operation tree-reduced with joins, frontier =
+    # the default, image only the newly added directions)
     qts = models.qrw_qts(4, 0.1)
     print("reachability of the noisy walk under each fixpoint driver:")
     dims = set()

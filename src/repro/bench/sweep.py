@@ -43,6 +43,7 @@ from repro.errors import ReproError
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig, _warn_legacy
+from repro.mc.drivers import DEFAULT_DRIVER
 from repro.mc.reachability import ReachabilityCache
 from repro.store import ResultStore
 from repro.systems import models
@@ -165,7 +166,7 @@ class RunSpec:
                  self.strategy]
         if self.strategy != "monolithic":
             parts.append(f"jobs={self.jobs},depth={self.slice_depth}")
-        if self.driver != "sequential":
+        if self.driver != DEFAULT_DRIVER:
             parts.append(f"driver={self.driver}")
         if self.direction != "forward":
             parts.append(f"dir={self.direction}")
@@ -232,7 +233,7 @@ class SweepSpec:
                   specs: Sequence[Optional[str]] = (None,),
                   directions: Sequence[str] = ("forward",),
                   bounds: Sequence[int] = (0,),
-                  drivers: Sequence[str] = ("sequential",),
+                  drivers: Sequence[str] = (DEFAULT_DRIVER,),
                   jobs_per_run: int = 1,
                   slice_depth: int = DEFAULT_SLICE_DEPTH,
                   method_params: Optional[Dict[str, dict]] = None,
@@ -264,7 +265,7 @@ class SweepSpec:
                 # axes in would only duplicate the measurement (the
                 # run_id dedup below then collapses the copies)
                 bound = 0
-                driver = "sequential"
+                driver = DEFAULT_DRIVER
             if backend == "dense":
                 config = CheckerConfig(backend="dense",
                                        direction=direction, bound=bound,
@@ -323,7 +324,7 @@ class SweepSpec:
             specs=data.get("specs", (None,)),
             directions=data.get("directions", ("forward",)),
             bounds=data.get("bounds", (0,)),
-            drivers=data.get("drivers", ("sequential",)),
+            drivers=data.get("drivers", (DEFAULT_DRIVER,)),
             jobs_per_run=data.get("jobs_per_run", 1),
             slice_depth=data.get("slice_depth", DEFAULT_SLICE_DEPTH),
             method_params=data.get("method_params"),
@@ -645,7 +646,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated fixpoint depth bounds "
                              "(0 = saturation)")
     parser.add_argument("--drivers", type=_csv_names,
-                        default=["sequential"],
+                        default=[DEFAULT_DRIVER],
                         help="comma-separated fixpoint drivers "
                              "(sequential,opsharded,frontier)")
     parser.add_argument("--jobs", type=int, default=1,

@@ -142,11 +142,12 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 def _add_driver_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--driver", default=DEFAULT_DRIVER,
                         choices=list(DRIVERS),
-                        help="fixpoint schedule: sequential (one "
-                             "monolithic T(S) per round), opsharded "
+                        help="fixpoint schedule: frontier (the "
+                             "default; image only the newly added "
+                             "directions), sequential (re-image the "
+                             "whole space each round), opsharded "
                              "(per-operation image tasks, tree-reduced "
-                             "joins), frontier (image only the newly "
-                             "added directions)")
+                             "joins)")
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:

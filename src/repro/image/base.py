@@ -88,45 +88,50 @@ class ImageComputerBase:
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
         """Compute ``T(S)`` (defaults: ``S`` = the system's initial space)."""
-        return self.partial_image(subspace, self.qts.all_kraus_circuits(),
-                                  stats)
-
-    def partial_image(self, subspace: Optional[Subspace],
-                      circuits: Sequence,
-                      stats: Optional[StatsRecorder] = None) -> ImageResult:
-        """The image restricted to a subset of the Kraus circuits.
-
-        ``T(S)`` is the join of per-circuit contributions (Proposition
-        1), so restricting ``circuits`` to one operation's Kraus family
-        yields that operation's partial image — the unit of work a
-        fixpoint driver schedules (see :mod:`repro.mc.drivers`).  With
-        every circuit of the system this *is* ``image``.
-        """
         if subspace is None:
             subspace = self.qts.initial
+        return self.partial_image(subspace.basis,
+                                  self.qts.all_kraus_circuits(), stats)
+
+    def partial_image(self, source: Sequence[TDD], circuits: Sequence,
+                      stats: Optional[StatsRecorder] = None,
+                      into: Optional[Subspace] = None) -> ImageResult:
+        """``into v T(source)`` restricted to a subset of the Kraus circuits.
+
+        ``source`` is a sequence of basis states.  ``T(S)`` is the join
+        of per-circuit contributions (Proposition 1), so restricting
+        ``circuits`` to one operation's Kraus family yields that
+        operation's partial image — the unit of work a fixpoint driver
+        schedules (see :mod:`repro.mc.drivers`).  With every circuit of
+        the system this *is* ``image``.
+
+        Every image state takes exactly one Gram-Schmidt step
+        (:meth:`~repro.subspace.subspace.Subspace.add_state`) into the
+        result.  The result starts as a copy of ``into`` (the zero
+        subspace when omitted), so a fixpoint round joins its image
+        straight into the accumulator; ``into`` itself is left
+        unchanged and its basis is the result's basis prefix.
+        """
         if stats is None:
             stats = StatsRecorder()
         circuits = list(circuits)
-        result = Subspace(self.qts.space)
+        result = (into.copy() if into is not None
+                  else Subspace(self.qts.space))
         if self.batched and len(circuits) > 1:
             family = self.family_for(circuits, stats)
-            for state in subspace.basis:
-                for image_state in family.images(state, self.executor,
-                                                 self.qts.space, stats):
-                    stats.observe_tdd(image_state)
-                    added = result.add_state(image_state)
-                    if added is not None:
-                        stats.observe_tdd(added)
-            stats.observe_nodes(result.projector.size())
-            return ImageResult(result, stats)
-        for state in subspace.basis:
-            for circuit in circuits:
-                for image_state in self._circuit_images(state, circuit,
-                                                        stats):
-                    stats.observe_tdd(image_state)
-                    added = result.add_state(image_state)
-                    if added is not None:
-                        stats.observe_tdd(added)
+            images = (image_state for state in source
+                      for image_state in family.images(
+                          state, self.executor, self.qts.space, stats))
+        else:
+            images = (image_state for state in source
+                      for circuit in circuits
+                      for image_state in self._circuit_images(
+                          state, circuit, stats))
+        for image_state in images:
+            stats.observe_tdd(image_state)
+            added = result.add_state(image_state)
+            if added is not None:
+                stats.observe_tdd(added)
         stats.observe_nodes(result.projector.size())
         return ImageResult(result, stats)
 

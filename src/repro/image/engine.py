@@ -96,8 +96,8 @@ class ImageTask:
 
     def run(self, stats: Optional[StatsRecorder] = None) -> ImageResult:
         """The partial image ``T_sigma(source)`` with run stats."""
-        return self.computer.partial_image(self.source, self.circuits,
-                                           stats)
+        return self.computer.partial_image(self.source.basis,
+                                           self.circuits, stats)
 
     def __repr__(self) -> str:
         return (f"ImageTask({self.symbol!r}, kraus={len(self.circuits)}, "

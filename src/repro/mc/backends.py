@@ -46,7 +46,7 @@ class Backend(Protocol):
     ``direction``/``bound`` select forward or backward (preimage)
     analysis and depth-limited fixpoints, ``driver`` the fixpoint
     schedule (:mod:`repro.mc.drivers`); ``None`` means "use the
-    engine's configured default" (forward / unbounded / sequential for
+    engine's configured default" (forward / unbounded / frontier for
     engines without a config).  ``warm_start`` seeds the fixpoint with
     a subspace known to lie inside the true reachable space — served
     by the in-memory :class:`~repro.mc.reachability.ReachabilityCache`
@@ -263,7 +263,7 @@ class DenseStatevectorBackend:
         trace.stats.extra["backend"] = self.name
         if backward:
             trace.stats.extra["direction"] = "backward"
-        if driver_name != "sequential":
+        if driver_name != DEFAULT_DRIVER:
             trace.stats.extra["driver"] = driver_name
         limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
         if bound > 0:

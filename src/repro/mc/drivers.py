@@ -8,8 +8,14 @@ round issues and how partial results recombine).  A
 reachability.reachable_space` is a thin façade that builds the engine,
 picks a driver and delegates the loop.  Three drivers ship:
 
-* ``sequential`` — one monolithic ``T(S_k)`` per round joined onto the
-  accumulator; exactly the pre-driver behaviour, bit-for-bit.
+* ``frontier`` (the default) — each round images only the basis
+  vectors added by the previous round (sound because the image
+  distributes over joins, Proposition 1) and Gram-Schmidts every image
+  state straight into the accumulator:
+  ``S_{k+1} = partial_image(F_k, circuits, into=S_k)``.
+* ``sequential`` — the classic round: the whole of ``S_k`` is
+  re-imaged and joined into the accumulator the same way,
+  ``partial_image(S_k, circuits, into=S_k)``.
 * ``opsharded`` — each round fans out one
   :class:`~repro.image.engine.ImageTask` per operation (the engine's
   per-operation task API) and recombines the accumulator with the
@@ -17,10 +23,14 @@ picks a driver and delegates the loop.  Three drivers ship:
   contractions run through the engine's executor, so the sliced
   strategy's cofactor decomposition — and its worker pool — are shared
   between slicing and sharding rather than duplicated per shard.
-* ``frontier`` — the classic frontier-set refinement as a proper
-  driver: each round images only the basis vectors added by the
-  previous round (sound because the image distributes over joins,
-  Proposition 1).
+
+Under ``frontier`` and ``sequential`` each image state costs exactly
+one Gram-Schmidt step, against the accumulator, and the grown basis
+keeps ``S_k``'s vectors as its prefix; the frontier of the next round
+is the plain list of the vectors appended after that prefix.  In
+backward mode the circuits come from ``engine.computer.qts`` — the
+adjoint system the engine built — never from ``engine.qts``, the
+forward one.
 
 Every driver computes the same reachable subspace (same dimension,
 mutual containment); they differ in work granularity and combine
@@ -34,13 +44,14 @@ from typing import List, Optional, Sequence
 from repro.errors import ReproError
 from repro.image.engine import ImageEngine
 from repro.subspace.subspace import Subspace
+from repro.tdd.tdd import TDD
 from repro.utils.stats import StatsRecorder
 
 #: the available fixpoint schedules
 DRIVERS = ("sequential", "opsharded", "frontier")
 
 #: the driver every config/CLI surface defaults to
-DEFAULT_DRIVER = "sequential"
+DEFAULT_DRIVER = "frontier"
 
 
 def tree_join(subspaces: Sequence[Subspace]) -> Subspace:
@@ -116,15 +127,26 @@ class FixpointDriver:
         return f"{type(self).__name__}()"
 
 
+def join_image(engine: ImageEngine, source: Sequence[TDD],
+               current: Subspace, stats: StatsRecorder) -> Subspace:
+    """``current v T(source)``: one Gram-Schmidt step per image state.
+
+    The circuits come from the engine's computer, whose system is the
+    adjoint one in backward mode.
+    """
+    computer = engine.computer
+    return computer.partial_image(source, computer.qts.all_kraus_circuits(),
+                                  stats, into=current).subspace
+
+
 class SequentialDriver(FixpointDriver):
-    """The baseline schedule: one monolithic ``T(S_k)`` per round."""
+    """The classic schedule: re-image the whole of ``S_k`` every round."""
 
     name = "sequential"
 
     def advance(self, engine: ImageEngine, current: Subspace,
                 stats: StatsRecorder) -> Subspace:
-        step = engine.computer.image(current, stats)
-        return current.join(step.subspace)
+        return join_image(engine, current.basis, current, stats)
 
 
 class OpShardedDriver(FixpointDriver):
@@ -161,23 +183,21 @@ class FrontierDriver(FixpointDriver):
     name = "frontier"
 
     def __init__(self) -> None:
-        self._frontier: Optional[Subspace] = None
+        self._frontier: List[TDD] = []
 
     def begin(self, engine: ImageEngine, initial: Subspace) -> None:
-        self._frontier = initial
+        self._frontier = list(initial.basis)
 
     def advance(self, engine: ImageEngine, current: Subspace,
                 stats: StatsRecorder) -> Subspace:
-        step = engine.computer.image(self._frontier, stats)
-        return current.join(step.subspace)
+        return join_image(engine, self._frontier, current, stats)
 
     def observe(self, engine: ImageEngine, previous: Subspace,
                 grown: Subspace) -> None:
-        # the new frontier: basis vectors Gram-Schmidt added beyond the
-        # previous space (orthogonal to it by construction of
-        # Subspace.join)
-        new_vectors = grown.basis[previous.dimension:]
-        self._frontier = engine.qts.space.span(new_vectors)
+        # the new frontier: the basis vectors Gram-Schmidt appended
+        # after the previous space's basis (orthonormal and orthogonal
+        # to it by construction of Subspace.add_state)
+        self._frontier = grown.basis[previous.dimension:]
 
 
 _DRIVER_CLASSES = {cls.name: cls for cls in
@@ -196,11 +216,11 @@ def make_driver(name: str) -> FixpointDriver:
 def resolve_driver(driver: Optional[str], frontier: bool) -> str:
     """Fold the legacy ``frontier`` flag into a driver name.
 
-    ``frontier=True`` is shorthand for the frontier driver; it
-    upgrades an unset (or default-``sequential``) driver and is
-    rejected as contradictory next to an explicit different one.
+    An unset driver resolves to :data:`DEFAULT_DRIVER` (``frontier``).
+    ``frontier=True`` is shorthand for the frontier driver; next to an
+    explicit different driver it is rejected as contradictory.
     """
-    if driver is None or (frontier and driver == DEFAULT_DRIVER):
+    if driver is None:
         return "frontier" if frontier else DEFAULT_DRIVER
     if frontier and driver != "frontier":
         raise ReproError(

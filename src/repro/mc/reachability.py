@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.image.engine import ImageEngine
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
-from repro.mc.drivers import make_driver, resolve_driver
+from repro.mc.drivers import DEFAULT_DRIVER, make_driver, resolve_driver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.io import from_dict, payload_digest, to_dict
@@ -93,11 +93,13 @@ def reachable_space(qts: QuantumTransitionSystem,
     ``slice_depth`` the number of top summed levels to fix).
 
     ``driver`` selects the fixpoint schedule (see
-    :mod:`repro.mc.drivers`): ``sequential`` (the default; one
-    monolithic ``T(S_k)`` per round, bit-for-bit the pre-driver
-    behaviour), ``opsharded`` (per-operation image tasks tree-reduced
-    with joins) or ``frontier``.  The legacy ``frontier=True`` flag is
-    shorthand for ``driver="frontier"``.
+    :mod:`repro.mc.drivers`): ``frontier`` (the default; each round
+    images only the directions the previous round added),
+    ``sequential`` (each round re-images the whole of ``S_k``) or
+    ``opsharded`` (per-operation image tasks tree-reduced with joins).
+    ``frontier`` and ``sequential`` Gram-Schmidt every image state
+    once, straight into the accumulator.  The legacy ``frontier=True``
+    flag is shorthand for ``driver="frontier"``.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
@@ -149,7 +151,7 @@ def reachable_space(qts: QuantumTransitionSystem,
         trace.stats.extra["strategy"] = strategy
     if direction != "forward":
         trace.stats.extra["direction"] = direction
-    if driver_name != "sequential":
+    if driver_name != DEFAULT_DRIVER:
         trace.stats.extra["driver"] = driver_name
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
     if bound > 0:

@@ -13,7 +13,9 @@ from repro.mc.drivers import (DEFAULT_DRIVER, DRIVERS, FrontierDriver,
 from repro.mc.reachability import (ReachabilityCache, reachable_space,
                                    subspace_fingerprint,
                                    system_fingerprint)
+from repro.subspace.subspace import Subspace
 from repro.systems import models
+from repro.utils.stats import StatsRecorder
 
 from tests.helpers import subspace_to_dense
 
@@ -61,7 +63,7 @@ class TestImageTasks:
         with ImageEngine(qts, "basic") as engine:
             full = engine.computer.image(qts.initial).subspace
             partial = engine.computer.partial_image(
-                qts.initial, qts.all_kraus_circuits()).subspace
+                qts.initial.basis, qts.all_kraus_circuits()).subspace
         assert equal_spaces(full, partial)
 
 
@@ -87,7 +89,7 @@ class TestTreeJoin:
 class TestDriverRegistry:
     def test_names(self):
         assert DRIVERS == ("sequential", "opsharded", "frontier")
-        assert DEFAULT_DRIVER == "sequential"
+        assert DEFAULT_DRIVER == "frontier"
 
     @pytest.mark.parametrize("name,cls", [
         ("sequential", SequentialDriver),
@@ -119,8 +121,9 @@ class TestDriverRegistry:
 
     def test_frontier_flag_resolves(self):
         assert resolve_driver(None, True) == "frontier"
-        assert resolve_driver(None, False) == "sequential"
-        assert resolve_driver("sequential", True) == "frontier"
+        assert resolve_driver(None, False) == "frontier"
+        assert resolve_driver("frontier", True) == "frontier"
+        assert resolve_driver("sequential", False) == "sequential"
         assert resolve_driver("opsharded", False) == "opsharded"
 
     def test_frontier_flag_contradiction_rejected(self):
@@ -137,7 +140,7 @@ class TestDriverEquality:
     @pytest.mark.parametrize("family,builder", FAMILIES)
     def test_opsharded_matches_sequential(self, family, builder):
         qts = builder()
-        seq = reachable_space(qts, method="basic")
+        seq = reachable_space(qts, method="basic", driver="sequential")
         shard = reachable_space(qts, method="basic", driver="opsharded")
         assert shard.dimensions == seq.dimensions
         assert equal_spaces(shard.subspace, seq.subspace)
@@ -167,7 +170,7 @@ class TestDriverEquality:
 
     def test_opsharded_with_sliced_strategy_shares_executor(self):
         qts = models.qrw_qts(3, 0.2)
-        seq = reachable_space(qts, method="basic")
+        seq = reachable_space(qts, method="basic", driver="sequential")
         shard = reachable_space(qts, method="basic",
                                 driver="opsharded", strategy="sliced")
         assert equal_spaces(shard.subspace, seq.subspace)
@@ -210,6 +213,87 @@ class TestDriverEquality:
         assert result.witness_trace is not None
         assert result.witness_trace.valid
         assert result.witness_trace.length >= 1
+
+
+#: qrw5 dimension ladders from its initial (start) state; the
+#: benchmark's hand-written expected answers record the same two
+QRW5_FORWARD_LADDER = [1, 2, 4, 7, 10, 14, 18, 22, 26, 30, 32, 32]
+QRW5_BACKWARD_LADDER = [1, 3, 6, 10, 14, 18, 22, 26, 30, 32, 32]
+
+
+class TestBackwardLadder:
+    """The into-path drivers must image the adjoint system backwards.
+
+    The two ladders differ, so a driver that took its circuits from
+    the forward system would turn the backward ladder into the
+    forward one.
+    """
+
+    @pytest.mark.parametrize("driver", ["frontier", "sequential"])
+    def test_tdd_backward_ladder(self, driver):
+        qts = models.build_model("qrw", 5)
+        trace = reachable_space(qts, method="contraction", k1=4, k2=4,
+                                direction="backward", driver=driver)
+        assert trace.converged
+        assert trace.dimensions == QRW5_BACKWARD_LADDER
+        forward = reachable_space(qts, method="contraction", k1=4, k2=4,
+                                  driver=driver)
+        assert forward.dimensions == QRW5_FORWARD_LADDER
+
+    @pytest.mark.parametrize("driver", ["frontier", "sequential"])
+    def test_dense_backward_ladder(self, driver):
+        trace = DenseStatevectorBackend().reachable(
+            models.build_model("qrw", 5), direction="backward",
+            driver=driver)
+        assert trace.converged
+        assert trace.dimensions == QRW5_BACKWARD_LADDER
+
+
+class TestSinglePassJoin:
+    """One Gram-Schmidt step per image state, straight into ``S_k``."""
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("driver", ["frontier", "sequential"])
+    def test_one_add_state_per_image_state(self, monkeypatch, driver,
+                                           batched):
+        calls = []
+        add_state = Subspace.add_state
+
+        def counting(self, state, *args, **kwargs):
+            calls.append(state)
+            return add_state(self, state, *args, **kwargs)
+
+        monkeypatch.setattr(Subspace, "add_state", counting)
+        qts = models.qrw_qts(4, 0.2)
+        branches = len(qts.all_kraus_circuits())
+        fixpoint = make_driver(driver)
+        rounds = 0
+        with ImageEngine(qts, "basic", batched=batched) as engine:
+            current = qts.initial
+            source = len(current.basis)
+            fixpoint.begin(engine, current)
+            while True:
+                basis_before = list(current.basis)
+                calls.clear()
+                grown = fixpoint.advance(engine, current, StatsRecorder())
+                rounds += 1
+                # basic images every source state once per Kraus branch
+                assert len(calls) == source * branches
+                # the accumulator is grown in a copy, never in place
+                assert current.basis == basis_before
+                # frontier soundness: the old basis is the exact prefix
+                assert all(kept is original for kept, original
+                           in zip(grown.basis, current.basis))
+                assert len(grown.basis) >= len(current.basis)
+                if grown.dimension == current.dimension:
+                    break
+                fixpoint.observe(engine, current, grown)
+                growth = grown.dimension - current.dimension
+                source = (growth if driver == "frontier"
+                          else grown.dimension)
+                current = grown
+        assert rounds > 2
+        assert current.dimension == 16
 
 
 class TestDirectionValidationSinglePoint:

@@ -19,7 +19,8 @@ class TestFrontier:
         lambda: models.grover_qts(4),
     ])
     def test_agrees_with_full_iteration(self, builder):
-        full = reachable_space(builder(), method="basic")
+        full = reachable_space(builder(), method="basic",
+                               driver="sequential")
         fast = reachable_space(builder(), method="basic", frontier=True)
         assert full.converged and fast.converged
         assert subspace_to_dense(full.subspace).equals(
@@ -28,14 +29,16 @@ class TestFrontier:
     def test_frontier_images_fewer_states(self):
         """In frontier mode the total contraction count across the run
         must be strictly lower once the space has grown."""
-        full = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        full = reachable_space(models.qrw_qts(3, 0.2), method="basic",
+                               driver="sequential")
         fast = reachable_space(models.qrw_qts(3, 0.2), method="basic",
                                frontier=True)
         assert fast.stats.contractions < full.stats.contractions
 
     def test_frontier_with_contraction_method(self):
         full = reachable_space(models.qrw_qts(3, 0.3),
-                               method="contraction", k1=2, k2=2)
+                               method="contraction", k1=2, k2=2,
+                               driver="sequential")
         fast = reachable_space(models.qrw_qts(3, 0.3),
                                method="contraction", k1=2, k2=2,
                                frontier=True)

@@ -59,8 +59,8 @@ class TestJoinLaws:
 
     @given(vectors_strategy(3), vectors_strategy(3))
     def test_join_keeps_existing_basis_as_untouched_prefix(self, va, vb):
-        # frontier-mode reachability slices grown.basis[dim:] and spans
-        # it as the new frontier — sound only if join leaves the left
+        # frontier-mode reachability takes grown.basis[dim:] as the new
+        # frontier — sound only if join leaves the left
         # operand's basis as an untouched prefix and every appended
         # vector is orthogonal to the left operand
         space = make_space(N_QUBITS)

@@ -11,6 +11,7 @@ from repro.bench.sweep import (CSV_COLUMNS, RunSpec, SweepSpec,
 from repro.bench import table1, table2
 from repro.errors import ReproError
 from repro.mc.config import CheckerConfig
+from repro.mc.drivers import DEFAULT_DRIVER
 
 
 def tiny_spec(name="tiny", strategies=("monolithic",)):
@@ -401,7 +402,7 @@ class TestDriverAxisAndWarmStart:
             "d", ["ghz"], [3], methods=("basic",),
             drivers=("sequential", "opsharded", "frontier"))
         assert len(spec.runs) == 1
-        assert spec.runs[0].driver == "sequential"
+        assert spec.runs[0].driver == DEFAULT_DRIVER == "frontier"
 
     def test_execute_run_records_driver_and_cache_columns(self):
         record = execute_run(RunSpec(
@@ -415,7 +416,7 @@ class TestDriverAxisAndWarmStart:
     def test_image_record_driver_defaults(self):
         record = execute_run(RunSpec(model="ghz", size=3,
                                      config=CheckerConfig(method="basic")))
-        assert record["driver"] == "sequential"
+        assert record["driver"] == DEFAULT_DRIVER == "frontier"
         assert record["cache_warm"] is False
 
     def test_sweep_warm_starts_config_cells(self, tmp_path):
@@ -435,7 +436,7 @@ class TestDriverAxisAndWarmStart:
             rows = list(csv.DictReader(handle))
         assert [row["cache_warm"] for row in rows] == ["False", "True"]
         assert [row["driver"] for row in rows] == \
-            ["sequential", "sequential"]
+            ["frontier", "frontier"]
 
     def test_no_warm_start_keeps_rows_cold(self, tmp_path):
         # benchmarking sweeps must be able to opt out: every row then
