@@ -78,9 +78,15 @@ class AdditionImageComputer(ImageComputerBase):
         return self._parts[key]
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
-        parts, inputs, outputs = self.parts_for(circuit, stats)
+    def operator_for(self, circuit: QuantumCircuit, stats: StatsRecorder
+                     ) -> Tuple[List[TDD], List[Index], List[Index]]:
+        return self.parts_for(circuit, stats)
+
+    def _operator_images(self, state: TDD, entry: Tuple[List[TDD],
+                                                        List[Index],
+                                                        List[Index]],
+                         stats: StatsRecorder) -> Iterator[TDD]:
+        parts, inputs, outputs = entry
         sum_over = input_sum_indices(inputs, outputs)
         total = None
         for part in parts:

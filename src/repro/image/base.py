@@ -62,13 +62,9 @@ class ImageComputerBase:
     sliced strategy is selected), so parallel sliced execution composes
     with each algorithm without touching its partitioning logic.
 
-    Multi-circuit Kraus families are applied through the **batched**
-    weight kernel by default (``self.batched``): the family is stacked
-    into one vector-weight operator (:mod:`repro.image.batched`) and
-    every basis state takes a single contraction for the whole family
-    instead of one per branch.  ``batched=False`` restores the scalar
-    per-branch loop (the two produce canonically identical states; see
-    the property tests).
+    Every basis state takes one contraction per Kraus circuit (a
+    partition method may fold several partial contractions into that
+    one image state).
     """
 
     method: str = "abstract"
@@ -78,12 +74,9 @@ class ImageComputerBase:
         self.qts = qts
         #: pluggable contraction executor (see :mod:`repro.image.sliced`)
         self.executor = MonolithicExecutor()
-        #: apply multi-Kraus families through the batched kernel
-        self.batched = True
         #: peak nodes observed while building cached operator diagrams
         self.build_stats = StatsRecorder()
         self._monolithic_ops = {}
-        self._families = {}
 
     def image(self, subspace: Optional[Subspace] = None,
               stats: Optional[StatsRecorder] = None) -> ImageResult:
@@ -117,16 +110,11 @@ class ImageComputerBase:
         circuits = list(circuits)
         result = (into.copy() if into is not None
                   else Subspace(self.qts.space))
-        if self.batched and len(circuits) > 1:
-            family = self.family_for(circuits, stats)
-            images = (image_state for state in source
-                      for image_state in family.images(
-                          state, self.executor, self.qts.space, stats))
-        else:
-            images = (image_state for state in source
-                      for circuit in circuits
-                      for image_state in self._circuit_images(
-                          state, circuit, stats))
+        family = self.family_for(circuits, stats)
+        images = (image_state for state in source
+                  for operator in family
+                  for image_state in self._operator_images(
+                      state, operator, stats))
         for image_state in images:
             stats.observe_tdd(image_state)
             added = result.add_state(image_state)
@@ -136,15 +124,11 @@ class ImageComputerBase:
         return ImageResult(result, stats)
 
     # ------------------------------------------------------------------
-    # batched-family machinery (shared by all four methods)
+    # cached operators
     # ------------------------------------------------------------------
     def monolithic_operator_for(self, circuit, stats: StatsRecorder):
-        """The cached monolithic ``(operator, inputs, outputs)`` triple.
-
-        Partition methods avoid monolithic operators for their *scalar*
-        per-circuit work; the batched family path reuses this shared
-        cache because stacking requires whole-circuit operators.
-        """
+        """The cached monolithic ``(operator, inputs, outputs)`` triple
+        of one Kraus circuit (the basic method's operator)."""
         from repro.circuits.network import circuit_to_tdd
         key = id(circuit)
         entry = self._monolithic_ops.get(key)
@@ -155,19 +139,21 @@ class ImageComputerBase:
         stats.merge(self.build_stats)
         return entry
 
-    def family_for(self, circuits: Sequence, stats: StatsRecorder):
-        """The cached :class:`~repro.image.batched.BatchedFamily`."""
-        from repro.image.batched import build_family
-        key = tuple(id(c) for c in circuits)
-        family = self._families.get(key)
-        if family is None:
-            family = build_family(self, circuits, stats)
-            self._families[key] = family
-        return family
+    def family_for(self, circuits: Sequence, stats: StatsRecorder) -> list:
+        """The method's operator of each circuit of a Kraus family.
 
-    # subclasses implement: all images of one basis state under the
-    # Kraus circuit (one TDD for a plain circuit; partition methods may
-    # fold several contributions before yielding)
-    def _circuit_images(self, state: TDD, circuit,
-                        stats: StatsRecorder):
+        One :meth:`operator_for` entry per circuit, in order, looked up
+        once per :meth:`partial_image` call rather than once per basis
+        state.
+        """
+        return [self.operator_for(circuit, stats) for circuit in circuits]
+
+    # subclasses implement: the cached operator of one Kraus circuit
+    # (whatever form the method contracts states with) ...
+    def operator_for(self, circuit, stats: StatsRecorder):
+        raise NotImplementedError
+
+    # ... and all images of one basis state under it (one TDD; partition
+    # methods may fold several contributions before yielding)
+    def _operator_images(self, state: TDD, operator, stats: StatsRecorder):
         raise NotImplementedError

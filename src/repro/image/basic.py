@@ -28,13 +28,13 @@ class BasicImageComputer(ImageComputerBase):
     def operator_for(self, circuit: QuantumCircuit,
                      stats: StatsRecorder
                      ) -> Tuple[TDD, List[Index], List[Index]]:
-        # one shared cache with the batched-family path (see base class)
         return self.monolithic_operator_for(circuit, stats)
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
-        operator, inputs, outputs = self.operator_for(circuit, stats)
+    def _operator_images(self, state: TDD, entry: Tuple[TDD, List[Index],
+                                                        List[Index]],
+                         stats: StatsRecorder) -> Iterator[TDD]:
+        operator, inputs, outputs = entry
         sum_over = input_sum_indices(inputs, outputs)
         image_state = self.executor.contract(state, operator, sum_over,
                                              stats)

@@ -95,9 +95,15 @@ class ContractionImageComputer(ImageComputerBase):
         return out
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
-        block_tdds, inputs, outputs = self.blocks_for(circuit, stats)
+    def operator_for(self, circuit: QuantumCircuit, stats: StatsRecorder
+                     ) -> Tuple[List[TDD], List[Index], List[Index]]:
+        return self.blocks_for(circuit, stats)
+
+    def _operator_images(self, state: TDD, entry: Tuple[List[TDD],
+                                                        List[Index],
+                                                        List[Index]],
+                         stats: StatsRecorder) -> Iterator[TDD]:
+        block_tdds, inputs, outputs = entry
         tensors = [state] + list(block_tdds)
         network = TensorNetwork(tensors, set(outputs))
         order = None

@@ -129,7 +129,6 @@ class ImageEngine:
                  jobs: Optional[int] = None,
                  slice_depth: int = DEFAULT_SLICE_DEPTH,
                  direction: str = "forward",
-                 batched: bool = True,
                  config=None,
                  **params) -> None:
         if config is not None:
@@ -137,7 +136,7 @@ class ImageEngine:
             # source of truth — it overrides the loose kwargs entirely
             if params or method != "basic" or strategy != "monolithic" \
                     or jobs is not None or slice_depth != DEFAULT_SLICE_DEPTH \
-                    or direction != "forward" or batched is not True:
+                    or direction != "forward":
                 raise ReproError("pass either config= or the individual "
                                  "method/strategy keyword arguments, "
                                  "not both")
@@ -150,7 +149,6 @@ class ImageEngine:
             jobs = config.jobs
             slice_depth = config.slice_depth
             direction = config.direction
-            batched = config.batched
             params = dict(config.method_params)
         validate_direction(direction)
         self.qts = qts
@@ -159,12 +157,10 @@ class ImageEngine:
         self.jobs = jobs
         self.slice_depth = slice_depth
         self.direction = direction
-        self.batched = batched
         #: the system whose transition relation is contracted — the
         #: adjoint one in preimage mode (same manager, same space)
         self.system = qts if direction == "forward" else qts.adjoint()
         self.computer = make_computer(self.system, method, **params)
-        self.computer.batched = batched
         self.computer.executor = make_executor(
             strategy, qts.manager, jobs=jobs, slice_depth=slice_depth)
 
@@ -185,20 +181,6 @@ class ImageEngine:
         for op in self.system.operations:
             yield ImageTask(symbol=op.symbol, circuits=op.kraus_circuits,
                             source=source, computer=self.computer)
-
-    def combined_image_task(self, source: Subspace) -> ImageTask:
-        """One task spanning *every* operation's Kraus family.
-
-        With batching on, running this task stacks all circuits of the
-        system into a single vector-weight operator, so a whole
-        fixpoint iteration costs one kernel invocation per basis state
-        (the opsharded driver's batched fast path).
-        """
-        circuits = []
-        for op in self.system.operations:
-            circuits.extend(op.kraus_circuits)
-        return ImageTask(symbol="*", circuits=circuits,
-                         source=source, computer=self.computer)
 
     # ------------------------------------------------------------------
     def compute_image(self, subspace: Optional[Subspace] = None,
@@ -241,7 +223,6 @@ def compute_image(qts: QuantumTransitionSystem,
                   jobs: Optional[int] = None,
                   slice_depth: int = DEFAULT_SLICE_DEPTH,
                   direction: str = "forward",
-                  batched: bool = True,
                   config=None,
                   **params) -> ImageResult:
     """One-shot ``T(S)`` — or preimage ``T^dagger(S)`` — with run stats.
@@ -260,5 +241,5 @@ def compute_image(qts: QuantumTransitionSystem,
     """
     with ImageEngine(qts, method, strategy=strategy, jobs=jobs,
                      slice_depth=slice_depth, direction=direction,
-                     batched=batched, config=config, **params) as engine:
+                     config=config, **params) as engine:
         return engine.compute_image(subspace, gc=gc)

@@ -100,9 +100,15 @@ class HybridImageComputer(ImageComputerBase):
         return self._slices[key]
 
     # ------------------------------------------------------------------
-    def _circuit_images(self, state: TDD, circuit: QuantumCircuit,
-                        stats: StatsRecorder) -> Iterator[TDD]:
-        all_parts, inputs, outputs = self.slices_for(circuit, stats)
+    def operator_for(self, circuit: QuantumCircuit, stats: StatsRecorder
+                     ) -> Tuple[List[List[TDD]], List[Index], List[Index]]:
+        return self.slices_for(circuit, stats)
+
+    def _operator_images(self, state: TDD, entry: Tuple[List[List[TDD]],
+                                                        List[Index],
+                                                        List[Index]],
+                         stats: StatsRecorder) -> Iterator[TDD]:
+        all_parts, inputs, outputs = entry
         total = None
         for part_tdds in all_parts:
             network = TensorNetwork([state] + part_tdds, set(outputs))

@@ -157,7 +157,6 @@ class TDDBackend:
             bound=cfg.bound if bound is None else bound,
             driver=cfg.driver if driver is None else driver,
             warm_start=warm_start,
-            batched=cfg.batched,
             **cfg.method_params)
 
     def __repr__(self) -> str:
@@ -172,15 +171,21 @@ class DenseStatevectorBackend:
     vectors (:class:`~repro.sim.subspace_dense.DenseSubspace`); the
     resulting orthonormal basis is lifted back into TDD states so the
     result type matches the symbolic backend exactly.
+
+    ``driver``, ``direction`` and ``bound`` are the defaults a call
+    falls back to when it passes ``None`` for them, as the tdd
+    backend's config is; an explicit argument still wins.
     """
 
     name = "dense"
 
     def __init__(self, max_qubits: int = DENSE_MAX_QUBITS,
-                 driver: str = DEFAULT_DRIVER) -> None:
+                 driver: str = DEFAULT_DRIVER,
+                 direction: str = "forward", bound: int = 0) -> None:
         self.max_qubits = max_qubits
-        #: the fixpoint schedule used when a call passes driver=None
         self.driver = driver
+        self.direction = validate_direction(direction)
+        self.bound = bound
 
     # ------------------------------------------------------------------
     def _check_size(self, qts: QuantumTransitionSystem) -> None:
@@ -215,7 +220,8 @@ class DenseStatevectorBackend:
         self._check_size(qts)
         if subspace is None:
             subspace = qts.initial
-        backward = direction == "backward"
+        backward = validate_direction(
+            self.direction if direction is None else direction) == "backward"
         stats = StatsRecorder()
         stats.extra["backend"] = self.name
         watch = Stopwatch().start()
@@ -237,11 +243,12 @@ class DenseStatevectorBackend:
                   warm_start: Optional[Subspace] = None
                   ) -> ReachabilityTrace:
         self._check_size(qts)
-        direction = validate_direction(direction or "forward")
+        direction = validate_direction(
+            self.direction if direction is None else direction)
         driver_name = resolve_driver(
             driver if driver is not None else self.driver, frontier)
         backward = direction == "backward"
-        bound = bound or 0
+        bound = self.bound if bound is None else bound
         current = initial if initial is not None else qts.initial
         if current.dimension == 0:
             raise ReproError("reachability from the zero subspace is "
@@ -335,7 +342,7 @@ def make_backend(config: Union[CheckerConfig, str] = "tdd",
     return DenseStatevectorBackend(
         max_qubits=cfg.max_qubits if cfg.max_qubits is not None
         else DENSE_MAX_QUBITS,
-        driver=cfg.driver)
+        driver=cfg.driver, direction=cfg.direction, bound=cfg.bound)
 
 
 # ----------------------------------------------------------------------

@@ -163,13 +163,6 @@ class OpShardedDriver(FixpointDriver):
 
     def advance(self, engine: ImageEngine, current: Subspace,
                 stats: StatsRecorder) -> Subspace:
-        if getattr(engine, "batched", False):
-            # all operations' Kraus families stacked into one
-            # vector-weight operator: the whole iteration is a single
-            # batched kernel invocation per basis state
-            partial = engine.combined_image_task(current).run(stats)
-            stats.extra["shards"] = stats.extra.get("shards", 0) + 1
-            return tree_join([current, partial.subspace])
         partials = [task.run(stats).subspace
                     for task in engine.image_tasks(current)]
         stats.extra["shards"] = (stats.extra.get("shards", 0)

@@ -80,7 +80,6 @@ def reachable_space(qts: QuantumTransitionSystem,
                     bound: int = 0,
                     driver: Optional[str] = None,
                     warm_start: Optional[Subspace] = None,
-                    batched: bool = True,
                     **params) -> ReachabilityTrace:
     """Compute the reachable subspace of ``qts``.
 
@@ -136,7 +135,7 @@ def reachable_space(qts: QuantumTransitionSystem,
     fixpoint = make_driver(driver_name)
     engine = ImageEngine(qts, method, strategy=strategy, jobs=jobs,
                          slice_depth=slice_depth, direction=direction,
-                         batched=batched, **params)
+                         **params)
     current = initial if initial is not None else qts.initial
     if current.dimension == 0:
         engine.close()

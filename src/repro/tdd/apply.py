@@ -16,14 +16,20 @@ kernel runs under the interpreter's *default* recursion limit:
 The result edges are bit-for-bit the same as the old recursive code:
 the traversal order, normalisation and cache keys are unchanged; only
 the call stack moved to the heap.
+
+The binary machines are the kernel's hot loops and are written for a
+scalar-only kernel (every weight a python ``complex``): ENTER frames
+carry operands as ``(weight, node)`` pairs and cofactor inline from
+``node.low``/``node.high``, the stack methods are bound locally, and
+memo hits and misses are counted in local ints that reach the
+:class:`~repro.tdd.cache.OperationCache` counters once per call.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING, Tuple
 
-from repro.tdd import weights as wt
-from repro.tdd.node import Edge, Node
+from repro.tdd.node import Edge, Node, TERMINAL_LEVEL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tdd.manager import TDDManager
@@ -36,75 +42,99 @@ _COMBINE_NODE = 2
 _COMBINE_SUM = 3
 _COMBINE_FACTOR = 4
 
+#: weight of an operand that does not branch on the current level
+_UNIT = 1 + 0j
 
-def slice_pair(manager: "TDDManager", edge: Edge,
-               level: int) -> Tuple[Edge, Edge]:
-    """The (x=0, x=1) cofactors of ``edge`` w.r.t. the index at ``level``.
 
-    Assumes ``level <= edge.node.level``: either the edge branches on
-    exactly this level, or it does not depend on it at all.
-    """
-    node = edge.node
-    if node.level != level:
-        return edge, edge
-    low = manager.make_edge(edge.weight * node.low.weight, node.low.node)
-    high = manager.make_edge(edge.weight * node.high.weight, node.high.node)
-    return low, high
+def _store(cache):
+    """The insert function of ``cache``: a plain dict store when the
+    table is unbounded, the evicting :meth:`put` otherwise."""
+    if cache.max_size is None:
+        return cache.table.__setitem__
+    return cache.put
 
 
 # ----------------------------------------------------------------------
 # binary apply: addition
 # ----------------------------------------------------------------------
 def add_apply(manager: "TDDManager", a: Edge, b: Edge) -> Edge:
-    """Pointwise sum of two edges (iterative, memoised)."""
+    """Pointwise sum of two edges (iterative, memoised).
+
+    ENTER frames carry the operands as ``(weight, node)`` pairs, so a
+    cofactor is two field reads and a product, with no edge built.
+    """
     cache = manager.add_cache
-    make_edge = manager.make_edge
-    stack = [(_ENTER, a, b)]
+    table = cache.table
+    put = _store(cache)
+    make_node = manager.make_node
+    zero = Edge(0j, manager.terminal)
+    hits = misses = 0
+    stack = [(_ENTER, a.weight, a.node, b.weight, b.node)]
+    push = stack.append
+    pop = stack.pop
     values = []
-    while stack:
-        frame = stack.pop()
-        if frame[0] == _ENTER:
-            _, a, b = frame
-            if a.is_zero:
-                values.append(make_edge(b.weight, b.node))
-                continue
-            if b.is_zero:
-                values.append(make_edge(a.weight, a.node))
-                continue
-            if a.node is b.node:
-                values.append(make_edge(a.weight + b.weight, a.node))
-                continue
-            # Raw (full-precision) keys: rounding here could alias two
-            # different weights onto one cache entry and silently
-            # return a wrong sum.  Batched weights key on their exact
-            # bytes; a scalar/batched pair cannot compare its keys
-            # (float vs str tag), so the scalar operand goes first.
-            ka = wt.cache_key(a.weight, id(a.node))
-            kb = wt.cache_key(b.weight, id(b.node))
-            scalar_a = type(a.weight) is complex
-            if scalar_a == (type(b.weight) is complex):
+    emit = values.append
+    take = values.pop
+    try:
+        while stack:
+            frame = pop()
+            if frame[0] == _ENTER:
+                _, wa, na, wb, nb = frame
+                if wa == 0:
+                    emit(Edge(wb, nb) if wb != 0 else zero)
+                    continue
+                if wb == 0:
+                    emit(Edge(wa, na))
+                    continue
+                if na is nb:
+                    w = wa + wb
+                    emit(Edge(w, na) if w != 0 else zero)
+                    continue
+                # Raw (full-precision) keys: rounding here could alias
+                # two different weights onto one cache entry and
+                # silently return a wrong sum.
+                ka = (wa.real, wa.imag, id(na))
+                kb = (wb.real, wb.imag, id(nb))
                 key = (ka, kb) if ka <= kb else (kb, ka)
-            elif scalar_a:
-                key = (ka, kb)
+                cached = table.get(key)
+                if cached is not None:
+                    hits += 1
+                    emit(cached)
+                    continue
+                misses += 1
+                # the (x=0, x=1) cofactors at the top level; an operand
+                # that does not branch there is passed through as is
+                la = na.level
+                lb = nb.level
+                level = la if la <= lb else lb
+                if la == level:
+                    lo = na.low
+                    hi = na.high
+                    a0w, a0n = wa * lo.weight, lo.node
+                    a1w, a1n = wa * hi.weight, hi.node
+                else:
+                    a0w = a1w = wa
+                    a0n = a1n = na
+                if lb == level:
+                    lo = nb.low
+                    hi = nb.high
+                    b0w, b0n = wb * lo.weight, lo.node
+                    b1w, b1n = wb * hi.weight, hi.node
+                else:
+                    b0w = b1w = wb
+                    b0n = b1n = nb
+                push((_EXIT, key, level))
+                push((_ENTER, a1w, a1n, b1w, b1n))
+                push((_ENTER, a0w, a0n, b0w, b0n))
             else:
-                key = (kb, ka)
-            cached = cache.get(key)
-            if cached is not None:
-                values.append(cached)
-                continue
-            level = min(a.node.level, b.node.level)
-            a0, a1 = slice_pair(manager, a, level)
-            b0, b1 = slice_pair(manager, b, level)
-            stack.append((_EXIT, key, level))
-            stack.append((_ENTER, a1, b1))
-            stack.append((_ENTER, a0, b0))
-        else:
-            _, key, level = frame
-            high = values.pop()
-            low = values.pop()
-            result = manager.make_node(level, low, high)
-            cache.put(key, result)
-            values.append(result)
+                _, key, level = frame
+                high = take()
+                low = take()
+                result = make_node(level, low, high)
+                put(key, result)
+                emit(result)
+    finally:
+        cache.record(hits, misses)
     return values[0]
 
 
@@ -118,73 +148,99 @@ def contract_apply(manager: "TDDManager", a: Edge, b: Edge,
     Weights are factored out on entry so the memo key is
     ``(node, node, remaining-sum-levels)``; the EXIT frame re-applies
     the factored weight, exactly mirroring the recursive formulation.
+    The factored operands are unit-weight nodes, so their cofactors
+    are the nodes' own child edges, read directly.
     """
     cache = manager.cont_cache
-    make_edge = manager.make_edge
-    stack = [(_ENTER, a, b, levels)]
+    table = cache.table
+    put = _store(cache)
+    make_node = manager.make_node
+    terminal = manager.terminal
+    zero = Edge(0j, terminal)
+    hits = misses = 0
+    stack = [(_ENTER, a.weight, a.node, b.weight, b.node, levels)]
+    push = stack.append
+    pop = stack.pop
     values = []
-    while stack:
-        frame = stack.pop()
-        tag = frame[0]
-        if tag == _ENTER:
-            _, a, b, levels = frame
-            if a.is_zero or b.is_zero:
-                values.append(manager.zero_edge())
+    emit = values.append
+    take = values.pop
+    try:
+        while stack:
+            frame = pop()
+            tag = frame[0]
+            if tag == _ENTER:
+                _, wa, na, wb, nb, levels = frame
+                if wa == 0 or wb == 0:
+                    emit(zero)
+                    continue
+                weight = wa * wb
+                la = na.level
+                lb = nb.level
+                top = la if la <= lb else lb
+                if top == TERMINAL_LEVEL:
+                    # both operands are the terminal
+                    w = weight * (2 ** len(levels))
+                    emit(Edge(w, terminal) if w != 0 else zero)
+                    continue
+                ka, kb = id(na), id(nb)
+                key = (ka, kb, levels) if ka <= kb else (kb, ka, levels)
+                cached = table.get(key)
+                if cached is not None:
+                    hits += 1
+                    w = cached.weight * weight
+                    emit(Edge(w, cached.node) if w != 0 else zero)
+                    continue
+                misses += 1
+                summed = levels[0] if levels else TERMINAL_LEVEL
+                if summed < top:
+                    # Neither operand depends on this summed index:
+                    # factor 2.
+                    push((_COMBINE_FACTOR, key, weight))
+                    push((_ENTER, _UNIT, na, _UNIT, nb, levels[1:]))
+                    continue
+                if summed == top:
+                    push((_COMBINE_SUM, key, weight))
+                    remaining = levels[1:]
+                else:
+                    push((_COMBINE_NODE, key, weight, top))
+                    remaining = levels
+                if la == top:
+                    lo = na.low
+                    hi = na.high
+                    a0w, a0n, a1w, a1n = lo.weight, lo.node, hi.weight, hi.node
+                else:
+                    a0w = a1w = _UNIT
+                    a0n = a1n = na
+                if lb == top:
+                    lo = nb.low
+                    hi = nb.high
+                    b0w, b0n, b1w, b1n = lo.weight, lo.node, hi.weight, hi.node
+                else:
+                    b0w = b1w = _UNIT
+                    b0n = b1n = nb
+                push((_ENTER, a1w, a1n, b1w, b1n, remaining))
+                push((_ENTER, a0w, a0n, b0w, b0n, remaining))
                 continue
-            weight = a.weight * b.weight
-            na, nb = a.node, b.node
-            if na.is_terminal and nb.is_terminal:
-                # make_edge, not scalar_edge: ``weight`` may be a
-                # batched vector
-                values.append(
-                    make_edge(weight * (2 ** len(levels)), manager.terminal))
-                continue
-            ka, kb = id(na), id(nb)
-            key = (ka, kb, levels) if ka <= kb else (kb, ka, levels)
-            cached = cache.get(key)
-            if cached is not None:
-                values.append(make_edge(cached.weight * weight, cached.node))
-                continue
-            unit_a = Edge(1 + 0j, na)
-            unit_b = Edge(1 + 0j, nb)
-            top = min(na.level, nb.level)
-            if levels and levels[0] < top:
-                # Neither operand depends on this summed index: factor 2.
-                stack.append((_COMBINE_FACTOR, key, weight))
-                stack.append((_ENTER, unit_a, unit_b, levels[1:]))
-            elif levels and levels[0] == top:
-                remaining = levels[1:]
-                a0, a1 = slice_pair(manager, unit_a, top)
-                b0, b1 = slice_pair(manager, unit_b, top)
-                stack.append((_COMBINE_SUM, key, weight))
-                stack.append((_ENTER, a1, b1, remaining))
-                stack.append((_ENTER, a0, b0, remaining))
-            else:
-                a0, a1 = slice_pair(manager, unit_a, top)
-                b0, b1 = slice_pair(manager, unit_b, top)
-                stack.append((_COMBINE_NODE, key, weight, top))
-                stack.append((_ENTER, a1, b1, levels))
-                stack.append((_ENTER, a0, b0, levels))
-        elif tag == _COMBINE_FACTOR:
-            _, key, weight = frame
-            inner = values.pop()
-            result = make_edge(2 * inner.weight, inner.node)
-            cache.put(key, result)
-            values.append(make_edge(result.weight * weight, result.node))
-        elif tag == _COMBINE_SUM:
-            _, key, weight = frame
-            high = values.pop()
-            low = values.pop()
-            result = add_apply(manager, low, high)
-            cache.put(key, result)
-            values.append(make_edge(result.weight * weight, result.node))
-        else:  # _COMBINE_NODE
-            _, key, weight, top = frame
-            high = values.pop()
-            low = values.pop()
-            result = manager.make_node(top, low, high)
-            cache.put(key, result)
-            values.append(make_edge(result.weight * weight, result.node))
+            if tag == _COMBINE_NODE:
+                _, key, weight, top = frame
+                high = take()
+                low = take()
+                result = make_node(top, low, high)
+            elif tag == _COMBINE_SUM:
+                _, key, weight = frame
+                high = take()
+                low = take()
+                result = add_apply(manager, low, high)
+            else:  # _COMBINE_FACTOR
+                _, key, weight = frame
+                inner = take()
+                w = 2 * inner.weight
+                result = Edge(w, inner.node) if w != 0 else zero
+            put(key, result)
+            w = result.weight * weight
+            emit(Edge(w, result.node) if w != 0 else zero)
+    finally:
+        cache.record(hits, misses)
     return values[0]
 
 

@@ -61,6 +61,18 @@ class OperationCache:
             self.hits += 1
         return value
 
+    @property
+    def table(self) -> Dict[tuple, object]:
+        """The raw memo dictionary, for hot loops that probe it directly
+        and report their lookups through :meth:`record` (a
+        :meth:`purge` replaces it, so re-read it per operation)."""
+        return self._table
+
+    def record(self, hits: int, misses: int) -> None:
+        """Add lookups made directly on :attr:`table` to the counters."""
+        self.hits += hits
+        self.misses += misses
+
     def put(self, key: tuple, value) -> None:
         """Insert an entry, evicting the oldest one when full."""
         table = self._table
@@ -109,8 +121,9 @@ class OperationCache:
             self._table.clear()
             return dropped
         key_ids = self._key_ids
+        live = live_ids.__contains__
         keep = {key: value for key, value in self._table.items()
-                if all(i in live_ids for i in key_ids(key, value))}
+                if all(map(live, key_ids(key, value)))}
         dropped = len(self._table) - len(keep)
         self._table = keep
         return dropped

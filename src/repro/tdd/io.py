@@ -22,10 +22,8 @@ import hashlib
 import json
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as _np
-
+from repro.errors import TDDError
 from repro.indices.index import Index
-from repro.tdd import xp as _xp
 from repro.indices.order import IndexOrder
 from repro.tdd.manager import TDDManager
 from repro.tdd.node import Edge, Node
@@ -86,35 +84,21 @@ def payload_digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def _encode_weight(value) -> object:
-    """Weight → JSON: ``[re, im]`` scalars, ``{"re": …, "im": …}`` vectors.
-
-    The scalar form is unchanged from the pre-batching codec, so
-    payloads produced by older workers still decode.
-    """
-    if type(value) is complex:
-        return [value.real, value.imag]
-    array = _np.asarray(value)
-    return {"re": array.real.tolist(), "im": array.imag.tolist()}
+def _encode_weight(value: complex) -> list:
+    """Weight → JSON ``[re, im]``."""
+    return [value.real, value.imag]
 
 
-def _decode_weight(data):
-    if isinstance(data, dict):
-        return _xp.asarray(_np.asarray(data["re"])
-                           + 1j * _np.asarray(data["im"]))
+def _decode_weight(data) -> complex:
+    """JSON ``[re, im]`` → weight; anything else is a :class:`TDDError`
+    (a store blob must never decode into a non-scalar weight)."""
+    if (not isinstance(data, list) or len(data) != 2
+            or not all(type(part) in (int, float) for part in data)):
+        raise TDDError(f"edge weight must be a [re, im] pair, got {data!r}")
     return complex(data[0], data[1])
 
 
-def _is_unit_weight(value) -> bool:
-    return type(value) is complex and value == 1
-
-
-def _format_weight(value) -> str:
-    if not isinstance(value, complex):
-        inner = ", ".join(_format_weight(complex(v))
-                          for v in _np.asarray(value).ravel()[:4])
-        more = ", …" if _np.asarray(value).size > 4 else ""
-        return f"[{inner}{more}]"
+def _format_weight(value: complex) -> str:
     if value.imag == 0:
         real = value.real
         if real == int(real):
@@ -153,7 +137,7 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
             if action == "edge":
                 nid, edge, style, colour = payload
                 attrs = [f"style={style}", f"color={colour}"]
-                if not _is_unit_weight(edge.weight):
+                if edge.weight != 1:
                     attrs.append(f'label="{_format_weight(edge.weight)}"')
                 lines.append(f"  {nid} -> {node_id(edge.node)} "
                              f"[{', '.join(attrs)}];")
@@ -184,7 +168,7 @@ def to_dot(tdd: TDD, name: str = "tdd") -> str:
     if not root.is_zero:
         emit(root.node)
         attrs = []
-        if not _is_unit_weight(root.weight):
+        if root.weight != 1:
             attrs.append(f'label="{_format_weight(root.weight)}"')
         attr_text = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  root -> {node_id(root.node)}{attr_text};")
@@ -287,9 +271,8 @@ def from_dict(manager, data: dict) -> TDD:
                 child("low"), child("high"))
         return cache[start_id]
 
-    from repro.tdd import weights as _wt
     weight = _decode_weight(data["root_weight"])
-    if data["root_node"] is None or _wt.any_is_zero(weight):
+    if data["root_node"] is None or weight == 0:
         root = manager.zero_edge()
     else:
         inner = build(data["root_node"])

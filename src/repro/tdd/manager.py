@@ -23,64 +23,24 @@ Normalisation rule (DESIGN.md Section 3): when a node is created, its two
 outgoing edge weights are divided by the weight of largest magnitude
 (ties resolved toward the low edge), which becomes the weight of the
 incoming edge.  Together with interning this makes the representation
-canonical for a fixed index order.
+canonical for a fixed index order.  Every weight is a python
+``complex`` scalar.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-import numpy as np
-
+from repro.config import WEIGHT_DECIMALS, WEIGHT_EPS
 from repro.indices.index import Index
 from repro.indices.order import IndexOrder
-from repro.tdd import weights as wt
-from repro.tdd import xp as _xp
 from repro.tdd.cache import OperationCache
 from repro.tdd.node import Edge, Node, TERMINAL_LEVEL
 
-
-class WeightTable:
-    """Interned canonical weight vectors: the managed array behind
-    batched edges.
-
-    Child-edge weight vectors of batched nodes are canonicalised and
-    interned here; the unique table keys nodes on the returned integer
-    *weight id* instead of hashing the vector again, and every edge
-    with the same canonical vector shares one read-only array row.
-    Scalar weights (``parallel_shape == ()``) bypass the table — they
-    are their own key.
-    """
-
-    __slots__ = ("_ids", "_rows")
-
-    def __init__(self) -> None:
-        self._ids: Dict[tuple, int] = {}
-        self._rows: List[np.ndarray] = []
-
-    def intern(self, values) -> int:
-        """The stable id of the canonical vector ``values``."""
-        key = wt.key_array(values)
-        wid = self._ids.get(key)
-        if wid is None:
-            row = np.asarray(values, dtype=_xp.COMPLEX_DTYPE)
-            row.setflags(write=False)
-            wid = len(self._rows)
-            self._rows.append(row)
-            self._ids[key] = wid
-        return wid
-
-    def array(self, wid: int) -> np.ndarray:
-        """The (read-only) vector stored under ``wid``."""
-        return self._rows[wid]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def clear(self) -> None:
-        self._ids.clear()
-        self._rows.clear()
+#: the canonical weight of the normalising child edge: ``w / w`` clamps
+#: and rounds to exactly this for every finite non-zero ``w``
+_ONE = complex(1.0, 0.0)
 
 
 def _add_cache_ids(key: tuple, value: Edge) -> Tuple[int, int, int]:
@@ -111,8 +71,6 @@ class TDDManager:
                                         key_ids=_add_cache_ids)
         self.cont_cache = OperationCache("cont", max_size=cache_size,
                                          key_ids=_cont_cache_ids)
-        #: interned canonical weight vectors of batched child edges
-        self.weights = WeightTable()
         #: live TDD handles; their roots pin nodes during :meth:`collect`
         self._handles: "weakref.WeakSet" = weakref.WeakSet()
         #: total number of distinct non-terminal nodes ever interned
@@ -157,13 +115,8 @@ class TDDManager:
         happens only on the normalised child weights in
         :meth:`make_node`.
         """
-        if wt.parallel_shape(weight):
-            array = _xp.asarray(weight)
-            if not array.any():
-                return self.zero_edge()
-            return Edge(array, node)
         if weight == 0:
-            return self.zero_edge()
+            return Edge(0j, self.terminal)
         return Edge(complex(weight), node)
 
     def make_node(self, level: int, low: Edge, high: Edge) -> Edge:
@@ -177,83 +130,53 @@ class TDDManager:
         clamped to zero, which is what keeps float cancellation noise
         out of the diagrams.
 
-        Batched edges (vector weights) take the same rules elementwise
-        per parallel slot in :meth:`_make_batched_node`; the scalar path
-        below is untouched and stays bit-identical to the pre-batching
-        kernel.
+        The clamp-then-round is :func:`repro.tdd.weights.canonical`,
+        inlined: the normalising child's ratio is exactly ``1`` and
+        only the other one is computed.  The unique table is keyed on
+        the flat tuple ``(level, re0, im0, id0, re1, im1, id1)``.
         """
-        if wt.parallel_shape(low.weight) or wt.parallel_shape(high.weight):
-            return self._make_batched_node(level, low, high)
-        w0 = complex(low.weight)
-        w1 = complex(high.weight)
+        w0 = low.weight
+        w1 = high.weight
         if w0 == 0 and w1 == 0:
-            return self.zero_edge()
-        if w0 == w1 and low.node is high.node:
-            return Edge(w0, low.node)
+            return Edge(0j, self.terminal)
+        n0 = low.node
+        n1 = high.node
+        if n0 is n1 and w0 == w1:
+            return Edge(w0, n0)
         # normalisation: divide by the larger-magnitude weight (tie: low)
-        if abs(w0) >= abs(w1):
+        low_norm = abs(w0) >= abs(w1)
+        if low_norm:
             norm = w0
+            ratio = w1 / w0
         else:
             norm = w1
-        nw0 = wt.canonical(w0 / norm)
-        nw1 = wt.canonical(w1 / norm)
-        n0 = low.node if not wt.is_zero(nw0) else self.terminal
-        n1 = high.node if not wt.is_zero(nw1) else self.terminal
-        key = (level, wt.key(nw0), id(n0), wt.key(nw1), id(n1))
-        node = self._unique.get(key)
+            ratio = w0 / w1
+        re = ratio.real
+        im = ratio.imag
+        # clamp before round; ``+ 0.0`` folds -0.0 into +0.0
+        re = 0.0 if -WEIGHT_EPS < re < WEIGHT_EPS \
+            else round(re, WEIGHT_DECIMALS) + 0.0
+        im = 0.0 if -WEIGHT_EPS < im < WEIGHT_EPS \
+            else round(im, WEIGHT_DECIMALS) + 0.0
+        vanished = re == 0.0 and im == 0.0
+        if low_norm:
+            if vanished:
+                n1 = self.terminal
+            key = (level, 1.0, 0.0, id(n0), re, im, id(n1))
+            nw0, nw1 = _ONE, complex(re, im)
+        else:
+            if vanished:
+                n0 = self.terminal
+            key = (level, re, im, id(n0), 1.0, 0.0, id(n1))
+            nw0, nw1 = complex(re, im), _ONE
+        unique = self._unique
+        node = unique.get(key)
         if node is None:
             node = Node(level, Edge(nw0, n0), Edge(nw1, n1))
-            self._unique[key] = node
+            unique[key] = node
             self.nodes_made += 1
-            if len(self._unique) > self.peak_live_nodes:
-                self.peak_live_nodes = len(self._unique)
-        return Edge(norm, node)
-
-    def _make_batched_node(self, level: int, low: Edge, high: Edge) -> Edge:
-        """Batched :meth:`make_node`: the scalar rules, per parallel slot.
-
-        Both child weights are broadcast to one common parallel shape,
-        each slot is normalised by its own larger-magnitude weight (tie
-        toward low, exactly the scalar rule), and the canonical child
-        vectors are interned in the :class:`WeightTable` so the unique
-        key hashes two small integers instead of two arrays.  Slots
-        where both children vanish normalise to 0/0 → guarded to 0.
-        """
-        ns = _xp.xp
-        w0 = _xp.asarray(low.weight)
-        w1 = _xp.asarray(high.weight)
-        if w0.shape != w1.shape:
-            w0, w1 = ns.broadcast_arrays(w0, w1)
-        if not (w0.any() or w1.any()):
-            return self.zero_edge()
-        if low.node is high.node and bool((w0 == w1).all()):
-            return Edge(+w0, low.node)
-        # elementwise normalisation: each slot divides by its own
-        # larger-magnitude weight, ties resolved toward the low edge
-        norm = ns.where(ns.abs(w0) >= ns.abs(w1), w0, w1)
-        safe = ns.where(norm == 0, 1.0, norm)
-        nw0 = wt.canonical_array(w0 / safe)
-        nw1 = wt.canonical_array(w1 / safe)
-        if not nw0.any():
-            n0, k0, low_child = self.terminal, (0.0, 0.0), self.zero_edge()
-        else:
-            wid0 = self.weights.intern(nw0)
-            n0, k0 = low.node, ("w", wid0)
-            low_child = Edge(self.weights.array(wid0), low.node)
-        if not nw1.any():
-            n1, k1, high_child = self.terminal, (0.0, 0.0), self.zero_edge()
-        else:
-            wid1 = self.weights.intern(nw1)
-            n1, k1 = high.node, ("w", wid1)
-            high_child = Edge(self.weights.array(wid1), high.node)
-        key = (level, k0, id(n0), k1, id(n1))
-        node = self._unique.get(key)
-        if node is None:
-            node = Node(level, low_child, high_child)
-            self._unique[key] = node
-            self.nodes_made += 1
-            if len(self._unique) > self.peak_live_nodes:
-                self.peak_live_nodes = len(self._unique)
+            if len(unique) > self.peak_live_nodes:
+                self.peak_live_nodes = len(unique)
         return Edge(norm, node)
 
     # ------------------------------------------------------------------
@@ -274,9 +197,8 @@ class TDDManager:
 
         The per-table ``add_*``/``cont_*`` counters feed the
         ``add_hit_rate``/``cont_hit_rate`` columns of the sweep CSV:
-        addition and contraction caches behave very differently under
-        batching, and a combined rate hides which one is earning its
-        memory.
+        addition and contraction caches behave very differently, and a
+        combined rate hides which one is earning its memory.
         """
         return {
             "hits": self.add_cache.hits + self.cont_cache.hits,
@@ -295,7 +217,6 @@ class TDDManager:
         """Drop all nodes and caches.  Outstanding TDDs become invalid."""
         self._unique.clear()
         self.clear_caches()
-        self.weights.clear()
         self.nodes_made = 0
         self.peak_live_nodes = 0
 

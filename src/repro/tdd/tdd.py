@@ -78,18 +78,23 @@ class TDD:
 
         This is the quantity the paper's Table I reports as ``#node``.
         """
+        # a zero child edge points at the terminal, which every
+        # non-zero diagram reaches anyway, so no zero test is needed
         seen = set()
+        visit = seen.add
         stack = [self.root.node]
+        push = stack.append
+        pop = stack.pop
         while stack:
-            node = stack.pop()
-            if id(node) in seen:
+            node = pop()
+            key = id(node)
+            if key in seen:
                 continue
-            seen.add(id(node))
-            if not node.is_terminal:
-                if not node.low.is_zero:
-                    stack.append(node.low.node)
-                if not node.high.is_zero:
-                    stack.append(node.high.node)
+            visit(key)
+            low = node.low
+            if low is not None:
+                push(low.node)
+                push(node.high.node)
         return len(seen)
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.errors import ReproError
 from repro.mc.backends import (BACKENDS, DenseStatevectorBackend, TDDBackend,
                                cross_validate, make_backend)
 from repro.mc.checker import ModelChecker
+from repro.mc.config import CheckerConfig
 from repro.systems import models
 
 
@@ -54,6 +55,56 @@ class TestDenseBackend:
         backend = DenseStatevectorBackend(max_qubits=4)
         with pytest.raises(ReproError, match="dense backend refuses"):
             backend.compute_image(models.ghz_qts(5))
+
+
+class TestDenseConfigDefaults:
+    """``make_backend`` hands the config's direction and bound to the
+    dense backend as it does to the tdd one; an explicit call argument
+    still wins."""
+
+    @pytest.mark.parametrize("fields", [
+        {"direction": "backward"},
+        {"bound": 2},
+        {"direction": "backward", "bound": 2},
+    ])
+    def test_reachable_ladder_matches_tdd(self, fields):
+        tdd = make_backend(CheckerConfig(**fields)).reachable(
+            models.qrw_qts(4))
+        dense = make_backend(CheckerConfig(backend="dense", **fields)
+                             ).reachable(models.qrw_qts(4))
+        assert dense.dimensions == tdd.dimensions
+        assert dense.direction == tdd.direction \
+            == fields.get("direction", "forward")
+        assert dense.bound == tdd.bound == fields.get("bound", 0)
+        assert dense.iterations == fields.get("bound", dense.iterations)
+
+    def test_backward_ladder_is_not_the_forward_one(self):
+        # otherwise the test above could not tell the directions apart
+        qts = models.qrw_qts(4)
+        backend = make_backend(CheckerConfig(backend="dense"))
+        assert (backend.reachable(qts).dimensions
+                != backend.reachable(qts, direction="backward").dimensions)
+
+    def test_explicit_arguments_win(self):
+        config = CheckerConfig(backend="dense", direction="backward",
+                               bound=2)
+        explicit = make_backend(config).reachable(
+            models.qrw_qts(4), direction="forward", bound=0)
+        plain = make_backend(CheckerConfig(backend="dense")).reachable(
+            models.qrw_qts(4))
+        assert explicit.direction == "forward"
+        assert explicit.bound == 0
+        assert explicit.dimensions == plain.dimensions
+
+    def test_image_direction_from_config(self):
+        qts = models.qrw_qts(4)
+        dense = make_backend(CheckerConfig(backend="dense",
+                                           direction="backward"))
+        tdd = make_backend(CheckerConfig(direction="backward"))
+        preimage = dense.compute_image(qts)
+        assert preimage.subspace.equals(tdd.compute_image(qts).subspace)
+        assert not preimage.subspace.equals(
+            dense.compute_image(qts, direction="forward").subspace)
 
 
 class TestCrossValidation:

@@ -252,10 +252,8 @@ class TestBackwardLadder:
 class TestSinglePassJoin:
     """One Gram-Schmidt step per image state, straight into ``S_k``."""
 
-    @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("driver", ["frontier", "sequential"])
-    def test_one_add_state_per_image_state(self, monkeypatch, driver,
-                                           batched):
+    def test_one_add_state_per_image_state(self, monkeypatch, driver):
         calls = []
         add_state = Subspace.add_state
 
@@ -268,7 +266,7 @@ class TestSinglePassJoin:
         branches = len(qts.all_kraus_circuits())
         fixpoint = make_driver(driver)
         rounds = 0
-        with ImageEngine(qts, "basic", batched=batched) as engine:
+        with ImageEngine(qts, "basic") as engine:
             current = qts.initial
             source = len(current.basis)
             fixpoint.begin(engine, current)

@@ -2,10 +2,9 @@
 
 Three layers, from codec to fixpoint:
 
-* random scalar-weight TDDs and batched (vector-weight) stacks survive
-  the ``tdd/io`` dict codec that the store serialises payloads
-  through — including a detour through canonical JSON text, which is
-  exactly what lands on disk;
+* random TDDs survive the ``tdd/io`` dict codec that the store
+  serialises payloads through — including a detour through canonical
+  JSON text, which is exactly what lands on disk;
 * random small subspaces written to a :class:`ResultStore` come back
   dense-identical from a fresh instance with a fresh manager;
 * a warm start loaded from disk reproduces the cold fixpoint — same
@@ -28,7 +27,6 @@ from repro.store import ResultStore
 from repro.systems import models
 from repro.systems.noise import noisy_operation
 from repro.systems.qts import QuantumTransitionSystem
-from repro.tdd import batch
 from repro.tdd import construction as tc
 from repro.tdd.io import canonical_json, from_dict, payload_digest, \
     to_dict
@@ -61,26 +59,6 @@ class TestCodecRoundTrip:
         assert np.allclose(back.to_numpy(), t.to_numpy())
         # content addressing depends on the codec being deterministic
         assert payload_digest(to_dict(back)) == payload_digest(to_dict(t))
-
-    @given(st.lists(arrays(np.complex128, (DIM,),
-                           elements=COMPLEX_GRID),
-                    min_size=2, max_size=4))
-    def test_batched_weights(self, slot_amplitudes):
-        # the batched kernel's vector edge weights must survive the
-        # codec slot-for-slot: stack -> dict -> JSON -> dict -> unstack
-        m = fresh_manager(["a0", "a1"])
-        slots = [tc.from_numpy(m, a.reshape(2, 2),
-                               [Index("a0"), Index("a1")])
-                 for a in slot_amplitudes]
-        stacked = batch.stack(slots)
-        m2 = fresh_manager(["a0", "a1"])
-        back = _roundtrip(m2, stacked)
-        for slot, original in enumerate(slots):
-            recovered = batch.unstack(back, len(slots))[slot]
-            assert np.allclose(recovered.to_numpy(),
-                               original.to_numpy())
-        assert payload_digest(to_dict(back)) == \
-            payload_digest(to_dict(stacked))
 
 
 class TestSubspaceRoundTrip:

@@ -20,6 +20,7 @@ import pytest
 from repro.mc.reachability import reachable_space
 from repro.store import ResultStore
 from repro.systems import models
+from repro.tdd.io import payload_digest
 from tests.helpers import subspace_to_dense
 
 
@@ -110,6 +111,34 @@ class TestBlobDamage:
         ) and conn.execute(
             "SELECT checksum FROM other.entries").fetchone()[0]
         conn.execute("UPDATE entries SET checksum=?", (checksum,))
+        conn.commit()
+        conn.close()
+        _assert_miss_quarantine_recover(root, key, trace, "decode")
+
+    @pytest.mark.parametrize("where", ["root", "edge"])
+    def test_vector_weight_blob(self, populated, where):
+        # a well-formed blob whose checksum matches but which carries a
+        # {"re": [...], "im": [...]} vector weight: the codec only
+        # decodes [re, im] scalars, so this must be a miss too
+        root, key, trace = populated
+        blob = _blob_path(root, key)
+        with open(blob, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        state = payload["basis"][0]
+        if where == "root":
+            target = state
+            field = "root_weight"
+        else:
+            target = next(node[tag] for node in state["nodes"]
+                          for tag in ("low", "high") if node.get(tag))
+            field = "weight"
+        re, im = target[field]
+        target[field] = {"re": [re, re], "im": [im, im]}
+        with open(blob, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        conn = sqlite3.connect(os.path.join(root, "index.sqlite"))
+        conn.execute("UPDATE entries SET checksum=? WHERE key=?",
+                     (payload_digest(payload), key))
         conn.commit()
         conn.close()
         _assert_miss_quarantine_recover(root, key, trace, "decode")
