@@ -1,13 +1,16 @@
-"""Batched-kernel parity: vector weights must change nothing but cost.
+"""Family-image parity: imaging a whole Kraus family at once changes
+nothing but cost.
 
-The batched weight kernel stacks a Kraus family into one vector-weight
-operator and applies the whole family in a single contraction per
-basis state (:mod:`repro.image.batched`).  Its contract is that the
-resulting subspace is *element-for-element* identical to the scalar
-per-branch loop after canonical rounding: same interned node for every
-basis vector's root, canonically equal root weights.  (Exact bit
-equality is not promised — numpy's complex division differs from
-python's by an ulp, which ``canonical``'s 12-digit rounding absorbs.)
+:meth:`~repro.image.base.ImageComputerBase.partial_image` images a
+batch of basis states under a whole Kraus family in one call: the
+family's operators are looked up once (``family_for``) and every image
+state takes one Gram-Schmidt step into the result.  Its contract is
+that the resulting subspace is *element-for-element* identical to the
+scalar loop that images one basis state under one Kraus branch at a
+time, in the same state-major order, and joins each result into the
+accumulator: same interned node for every basis vector's root, equal
+root weights.  This is Proposition 1 (``T(S)`` is the join of the
+per-circuit contributions) pinned at the level of canonical diagrams.
 
 Checked on the multi-Kraus table-1 families — bitflip (four syndrome
 branches) plus depolarizing-noise GHZ and QFT (four channel branches)
@@ -19,11 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.image.engine import compute_image
+from repro.image.engine import ImageEngine, compute_image
+from repro.subspace.subspace import Subspace
 from repro.systems import models
 from repro.systems.noise import noisy_operation
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd import weights as wt
+from repro.utils.stats import StatsRecorder
 
 NOISE = 0.25
 
@@ -47,6 +52,22 @@ FAMILIES = {
 }
 
 
+def scalar_loop(qts, strategy="monolithic", direction="forward"):
+    """``T(S)`` rebuilt one (basis state, Kraus branch) pair at a time.
+
+    Returns the joined subspace and the contractions it spent.
+    """
+    stats = StatsRecorder()
+    with ImageEngine(qts, "basic", strategy=strategy,
+                     direction=direction) as engine:
+        result = Subspace(qts.space)
+        for state in qts.initial.basis:
+            for circuit in engine.system.all_kraus_circuits():
+                result = engine.computer.partial_image(
+                    [state], [circuit], stats, into=result).subspace
+    return result, stats.contractions
+
+
 def assert_canonically_equal(a, b) -> None:
     """Element-level contract: same node, canonically equal weight."""
     assert a.manager is b.manager
@@ -62,11 +83,11 @@ def assert_canonically_equal(a, b) -> None:
 def test_batched_image_matches_scalar_loop(family, direction, strategy):
     qts = FAMILIES[family]()
     batched = compute_image(qts, method="basic", strategy=strategy,
-                            direction=direction, batched=True)
-    scalar = compute_image(qts, method="basic", strategy=strategy,
-                           direction=direction, batched=False)
+                            direction=direction)
+    scalar, _ = scalar_loop(qts, strategy, direction)
     assert batched.dimension == scalar.dimension
-    for a, b in zip(batched.subspace.basis, scalar.subspace.basis):
+    assert len(batched.subspace.basis) == len(scalar.basis)
+    for a, b in zip(batched.subspace.basis, scalar.basis):
         assert_canonically_equal(a, b)
 
 
@@ -75,11 +96,13 @@ def test_batched_spends_one_contraction_per_state(family):
     qts = FAMILIES[family]()
     width = len(qts.all_kraus_circuits())
     assert width > 1
-    batched = compute_image(qts, method="basic", batched=True)
-    scalar = compute_image(qts, method="basic", batched=False)
-    # the headline invariant: contraction count drops by the family
-    # width — one batched kernel invocation covers every branch
-    assert batched.stats.contractions * width <= scalar.stats.contractions
+    batched = compute_image(qts, method="basic")
+    _, scalar_contractions = scalar_loop(qts)
+    # one contraction per basis state per Kraus branch: looking the
+    # family up once per call adds no contraction and saves none
+    states = len(qts.initial.basis)
+    assert batched.stats.contractions == states * width
+    assert scalar_contractions == states * width
 
 
 class TestRandomStates:
@@ -92,8 +115,8 @@ class TestRandomStates:
         state = qts.space.from_amplitudes(rng.normal(size=dim)
                                           + 1j * rng.normal(size=dim))
         qts.set_initial_states([state])
-        batched = compute_image(qts, method="basic", batched=True)
-        scalar = compute_image(qts, method="basic", batched=False)
+        batched = compute_image(qts, method="basic")
+        scalar, _ = scalar_loop(qts)
         assert batched.dimension == scalar.dimension
-        for a, b in zip(batched.subspace.basis, scalar.subspace.basis):
+        for a, b in zip(batched.subspace.basis, scalar.basis):
             assert_canonically_equal(a, b)

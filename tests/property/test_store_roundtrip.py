@@ -4,7 +4,8 @@ Three layers, from codec to fixpoint:
 
 * random TDDs survive the ``tdd/io`` dict codec that the store
   serialises payloads through — including a detour through canonical
-  JSON text, which is exactly what lands on disk;
+  JSON text, which is exactly what lands on disk — while a vector
+  weight, at the root or on an edge, never decodes;
 * random small subspaces written to a :class:`ResultStore` come back
   dense-identical from a fresh instance with a fresh manager;
 * a warm start loaded from disk reproduces the cold fixpoint — same
@@ -18,10 +19,12 @@ import json
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.errors import TDDError
 from repro.mc.reachability import ReachabilityTrace, reachable_space
 from repro.store import ResultStore
 from repro.systems import models
@@ -59,6 +62,34 @@ class TestCodecRoundTrip:
         assert np.allclose(back.to_numpy(), t.to_numpy())
         # content addressing depends on the codec being deterministic
         assert payload_digest(to_dict(back)) == payload_digest(to_dict(t))
+
+    @given(st.lists(arrays(np.complex128, (DIM,),
+                           elements=COMPLEX_GRID),
+                    min_size=2, max_size=4))
+    def test_batched_weights(self, slot_amplitudes):
+        # the kernel holds only scalar weights, so a payload carrying a
+        # {"re": [...], "im": [...]} vector weight (one slot per stacked
+        # state) must never decode into a diagram, at the root or on
+        # any edge
+        m = fresh_manager(["a0", "a1"])
+        slots = [tc.from_numpy(m, a.reshape(2, 2),
+                               [Index("a0"), Index("a1")])
+                 for a in slot_amplitudes]
+        payloads = [json.loads(canonical_json(to_dict(t))) for t in slots]
+        vector = {"re": [p["root_weight"][0] for p in payloads],
+                  "im": [p["root_weight"][1] for p in payloads]}
+        stacked = json.loads(canonical_json(payloads[0]))
+        stacked["root_weight"] = vector
+        m2 = fresh_manager(["a0", "a1"])
+        with pytest.raises(TDDError):
+            from_dict(m2, stacked)
+        edged = json.loads(canonical_json(payloads[0]))
+        edge = next((node[tag] for node in edged["nodes"]
+                     for tag in ("low", "high") if node.get(tag)), None)
+        if edge is not None:
+            edge["weight"] = vector
+            with pytest.raises(TDDError):
+                from_dict(fresh_manager(["a0", "a1"]), edged)
 
 
 class TestSubspaceRoundTrip:

@@ -104,3 +104,31 @@ class TestMakeNodeMatchesCanonical:
                 assert part != 0.0 or not np.signbit(part)
             if wt.is_zero(expected):
                 assert child.node is m.terminal
+
+
+class TestRoundingParity:
+    @pytest.mark.parametrize("value", [
+        0.1234567890123456, 0.9999999999994999,
+        0.3333333333333333, 2 ** -40, 0.0000000000005,
+    ])
+    def test_np_round_matches_python_round(self, value):
+        # python round() of a numpy float dispatches to np.round; the
+        # kernel rounds python floats.  Both are IEEE round-half-even
+        # at WEIGHT_DECIMALS digits on ordinary values, so a numpy
+        # scalar reaching the weight grid lands on the same key.
+        assert float(np.round(value, WEIGHT_DECIMALS)) == round(
+            value, WEIGHT_DECIMALS)
+        assert wt.key(wt.canonical(np.complex128(value))) == wt.key(
+            wt.canonical(complex(value)))
+
+    def test_known_half_way_divergence(self):
+        # np.round (scale, round, unscale) and python round (correctly
+        # rounded decimal) CAN disagree when a weight sits within one
+        # ulp of a half-way point at digit 13.  This is why TDD
+        # construction coerces numpy entries with complex() before they
+        # reach the kernel: the python rounding is the canonical one.
+        value = 1.0000000000005001
+        assert float(np.round(value, WEIGHT_DECIMALS)) != round(
+            value, WEIGHT_DECIMALS)
+        assert wt.canonical(complex(np.complex128(value))).real == round(
+            value, WEIGHT_DECIMALS)
