@@ -217,6 +217,13 @@ def _print_kernel_stats(stats) -> None:
               f"({stats.parallel_tasks} on the worker pool)")
 
 
+def _print_join(stats) -> None:
+    if stats.extra.get("backend") == "dense":
+        return  # the dense reference has no Gram-Schmidt join
+    accepted = stats.join_offered - stats.join_rejected
+    print(f"join       = {accepted}/{stats.join_offered} accepted")
+
+
 def _engine_label(config: CheckerConfig, frontier: bool = False) -> str:
     # the dense reference ignores method/strategy/frontier — the config
     # echo only prints what actually took effect
@@ -287,6 +294,7 @@ def _cmd_reach(args) -> int:
           f"({trace.iterations} iterations)")
     print(f"time       = {trace.stats.seconds:.3f} s")
     print(f"max #node  = {trace.stats.max_nodes}")
+    _print_join(trace.stats)
     _print_kernel_stats(trace.stats)
     return 0
 
@@ -327,6 +335,7 @@ def _cmd_check(args) -> int:
         print(f"trace      = {path} ({trace.length} steps, {replay}, "
               f"dims {dims})")
     print(f"time       = {result.stats.seconds:.3f} s")
+    _print_join(result.stats)
     _print_kernel_stats(result.stats)
     return 0 if result.holds else 1
 

@@ -117,8 +117,11 @@ class ImageComputerBase:
                       state, operator, stats))
         for image_state in images:
             stats.observe_tdd(image_state)
+            stats.join_offered += 1
             added = result.add_state(image_state)
-            if added is not None:
+            if added is None:
+                stats.join_rejected += 1
+            else:
                 stats.observe_tdd(added)
         stats.observe_nodes(result.projector.size())
         return ImageResult(result, stats)

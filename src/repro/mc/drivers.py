@@ -79,9 +79,11 @@ class FixpointDriver:
     """One fixpoint schedule; subclasses implement :meth:`advance`.
 
     The shared :meth:`run` loop owns iteration accounting, convergence
-    detection and between-round garbage collection; it mutates the
-    :class:`~repro.mc.reachability.ReachabilityTrace` handed in by the
-    façade (subspace, dimensions, iterations, converged).
+    detection and between-round garbage collection, and skips
+    :meth:`advance` on a round that starts from the whole space.  It
+    mutates the :class:`~repro.mc.reachability.ReachabilityTrace`
+    handed in by the façade (subspace, dimensions, iterations,
+    converged).
     """
 
     name = "abstract"
@@ -109,7 +111,10 @@ class FixpointDriver:
         manager = engine.qts.manager
         self.begin(engine, current)
         for _ in range(limit):
-            grown = self.advance(engine, current, trace.stats)
+            # no image leaves the whole space: the round is recorded
+            # (the ladder and iteration count stay the same) but not run
+            grown = (current if current.is_full()
+                     else self.advance(engine, current, trace.stats))
             trace.iterations += 1
             trace.dimensions.append(grown.dimension)
             if grown.dimension == current.dimension:

@@ -115,13 +115,17 @@ def reachable_space(qts: QuantumTransitionSystem,
     space reachable within ``bound`` transitions) and takes precedence
     over ``max_iterations``.
 
-    ``warm_start`` seeds the fixpoint with an extra subspace joined
-    onto ``initial`` before the first round.  Seeding with a
-    previously computed reachable space of the *same* fixpoint (see
-    :class:`ReachabilityCache`) collapses the iteration ladder to a
-    single confirming round; soundness requires the seed to lie inside
-    the true reachable space, which the cache's exact keying
-    guarantees.
+    ``warm_start`` seeds the fixpoint with an extra subspace: the
+    seed ``initial`` is joined *into* it before the first round, so
+    its basis is the prefix of the result's and a seed that already
+    lies inside costs one rejected Gram-Schmidt step per vector.
+    Seeding with a previously computed reachable space of the *same*
+    fixpoint (see :class:`ReachabilityCache`) collapses the iteration
+    ladder to a single confirming round, which images each stored
+    vector once (and none when the stored space is the whole space,
+    see :meth:`~repro.mc.drivers.FixpointDriver.run`); soundness
+    requires the warm start to lie inside the true reachable space,
+    which the cache's exact keying guarantees.
 
     ``gc=True`` (the default) runs the manager's mark-and-sweep between
     iterations: the accumulated subspace, the frontier and the
@@ -142,7 +146,10 @@ def reachable_space(qts: QuantumTransitionSystem,
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
     if warm_start is not None:
-        current = current.join(warm_start)
+        # the seed joins into the stored space: it normally lies inside,
+        # so the stored basis stays the prefix and each seed vector costs
+        # one rejected Gram-Schmidt step (none on the whole space)
+        current = warm_start.join(current)
     trace = ReachabilityTrace(subspace=current,
                               dimensions=[current.dimension],
                               direction=direction, bound=bound)
@@ -233,9 +240,12 @@ class ReachabilityCache:
     laundered into the unbounded key space by a caller passing
     ``bound=0`` — and served only on an exact key match (the key
     includes the bound, so a bounded query never consumes an unbounded
-    entry either).  A warm hit is a subspace that the caller joins
-    into the fixpoint seed (see :func:`reachable_space`), so a cold
-    cache is merely slow, never wrong.
+    entry either).  A warm hit is a subspace the caller hands to
+    :func:`reachable_space` as ``warm_start``; the fixpoint seed joins
+    into it, so the hit costs one confirming round that images each
+    stored vector once.  A cold cache is merely slow, never wrong.
+    :meth:`lookup` re-spans the decoded basis, which re-checks its
+    rank.
 
     The disk-backed :class:`~repro.store.ResultStore` implements the
     same ``lookup``/``store`` protocol with the same admission rule;

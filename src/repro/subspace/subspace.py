@@ -7,12 +7,15 @@ live on the *ket* indices ``x_i^0`` and projectors pair each ket with a
 
 ``Subspace`` keeps an orthonormal basis of TDD states *and* the
 projector TDD, maintained incrementally by the Gram-Schmidt procedure
-of Section IV.B.
+of Section IV.B.  A memo of root nodes known to lie inside the
+subspace lets the join reject a scalar multiple of an earlier
+candidate, or of a basis vector, without projecting it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import math
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from repro.errors import SubspaceError
 from repro.indices.index import Index, wire
 from repro.tdd import construction as tc
 from repro.tdd.manager import TDDManager
+from repro.tdd.node import Node
 from repro.tdd.tdd import TDD
 
 
@@ -97,6 +101,12 @@ class Subspace:
         #: Projector tensor P[bra, ket]; starts as the zero tensor.
         self.projector: TDD = tc.zero(
             space.manager, list(space.bras) + list(space.kets))
+        #: root node -> the largest root-weight magnitude known to lie
+        #: inside the subspace.  A state is its root weight times the
+        #: tensor of its root node, so the entry covers every multiple
+        #: up to that magnitude.  Keyed by the node object itself, which
+        #: keeps its id from being recycled after a collect.
+        self._contained: Dict[Node, float] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -109,6 +119,10 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.basis
+
+    def is_full(self) -> bool:
+        """Is this the whole ``2^n``-dimensional space?"""
+        return len(self.basis) == 2 ** self.space.num_qubits
 
     # ------------------------------------------------------------------
     def project_state(self, state: TDD) -> TDD:
@@ -124,14 +138,31 @@ class Subspace:
         non-negligible residual remains it is normalised, appended to
         the basis, and the projector is updated.  Returns the new basis
         vector, or ``None`` when the state was already contained.
+
+        Work whose outcome is already known is skipped: the whole space
+        rejects every state, and a state whose root node is in the memo
+        with a root weight no larger in magnitude than a contained one
+        is a scalar multiple of a contained state.  Both return ``None``
+        without a contraction.  An accepted state and its new basis
+        vector cover every multiple; a rejected one covers multiples up
+        to its own magnitude, since the residual test is absolute.
         """
         if set(state.indices) - set(self.space.kets):
             raise SubspaceError("state must live on the ket indices")
+        if self.is_full():
+            return None
+        node = state.root.node
+        magnitude = abs(state.root.weight)
+        if magnitude <= self._contained.get(node, -1.0):
+            return None
         residual = state - self.project_state(state)
         norm = residual.norm()
         if norm <= tol:
+            self._contained[node] = magnitude
             return None
         vector = residual.scaled(1.0 / norm)
+        self._contained[node] = math.inf
+        self._contained[vector.root.node] = math.inf
         self.basis.append(vector)
         self.projector = self.projector + vector.rename(
             dict(zip(self.space.kets, self.space.bras))).product(
@@ -152,10 +183,13 @@ class Subspace:
         out = Subspace(self.space)
         out.basis = list(self.basis)
         out.projector = self.projector
+        out._contained = dict(self._contained)
         return out
 
     # ------------------------------------------------------------------
     def contains_state(self, state: TDD, tol: float = 1e-7) -> bool:
+        if self.is_full():
+            return True
         norm = state.norm()
         if norm <= tol:
             return True

@@ -48,6 +48,10 @@ class StatsRecorder:
     #: (pool unavailable or broken mid-batch) — nonzero means the run
     #: quietly lost parallelism.
     pool_fallbacks: int = 0
+    #: Image states offered to the Gram-Schmidt join, and those it
+    #: rejected as already contained.
+    join_offered: int = 0
+    join_rejected: int = 0
     #: Garbage collection: number of collect() runs and nodes freed.
     gc_runs: int = 0
     nodes_reclaimed: int = 0
@@ -129,6 +133,8 @@ class StatsRecorder:
         self.slices += other.slices
         self.parallel_tasks += other.parallel_tasks
         self.pool_fallbacks += other.pool_fallbacks
+        self.join_offered += other.join_offered
+        self.join_rejected += other.join_rejected
         self.gc_runs += other.gc_runs
         self.nodes_reclaimed += other.nodes_reclaimed
         self.peak_live_nodes = max(self.peak_live_nodes,
@@ -154,6 +160,8 @@ class StatsRecorder:
             "slices": self.slices,
             "parallel_tasks": self.parallel_tasks,
             "pool_fallbacks": self.pool_fallbacks,
+            "join_offered": self.join_offered,
+            "join_rejected": self.join_rejected,
             "gc_runs": self.gc_runs,
             "nodes_reclaimed": self.nodes_reclaimed,
             "peak_live_nodes": self.peak_live_nodes,

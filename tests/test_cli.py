@@ -31,6 +31,12 @@ class TestReach:
         assert main(["reach", "qrw", "--size", "3", "--frontier"]) == 0
         assert "frontier=True" in capsys.readouterr().out
 
+    def test_join_line(self, capsys):
+        # three Kraus images of S0 = span{|0...0>}: one grows the space,
+        # the other two are already inside it
+        assert main(["reach", "grover", "--size", "4"]) == 0
+        assert "join       = 1/2 accepted" in capsys.readouterr().out
+
 
 class TestCheck:
     def test_ag_inv_holds(self, capsys):
@@ -54,7 +60,20 @@ class TestCheck:
     def test_same_verdict_on_dense_backend(self, capsys):
         assert main(["check", "grover", "--size", "3",
                      "--spec", "AG inv", "--backend", "dense"]) == 0
-        assert "holds" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "holds" in out
+        assert "join" not in out  # the dense reference has no join
+
+    def test_whole_space_store_hit_joins_nothing(self, capsys, tmp_path):
+        args = ["check", "grover", "--size", "4", "--spec", "AG init",
+                "--direction", "backward", "--store", str(tmp_path)]
+        assert main(args) == 1
+        assert "store      = miss (recorded)" in capsys.readouterr().out
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "store      = hit" in out
+        assert "[16, 16] (converged=True, 1 iterations)" in out
+        assert "join       = 0/0 accepted" in out
 
     def test_all_methods_agree(self, capsys):
         for method in ("basic", "addition", "contraction", "hybrid"):

@@ -76,6 +76,17 @@ class TestStatsRecorder:
         assert data["max_nodes"] == 4
         assert data["blocks"] == 6
 
+    def test_join_counters_merge_and_export(self):
+        a = StatsRecorder(join_offered=5, join_rejected=3)
+        a.merge(StatsRecorder(join_offered=4, join_rejected=4))
+        data = a.as_dict()
+        assert (data["join_offered"], data["join_rejected"]) == (9, 7)
+
+    def test_join_counters_stay_out_of_the_sweep_csv(self):
+        from repro.bench.sweep import CSV_COLUMNS
+        assert "join_offered" not in CSV_COLUMNS
+        assert "join_rejected" not in CSV_COLUMNS
+
 
 class TestFormatTable:
     def test_alignment(self):
