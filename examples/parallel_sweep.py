@@ -7,8 +7,8 @@ algorithms:
    contraction decomposed into independent cofactor subproblems,
    optionally fanned out over a process pool (identical results,
    deterministic recombination),
-2. the *fixpoint driver layer* — pluggable schedules for the
-   reachability loop (sequential / opsharded / frontier, see
+2. the *fixpoint driver layer* — the two schedules of the
+   reachability loop (sequential / frontier, see
    ``repro.mc.drivers``), and
 3. the *sweep runner* — a declarative grid of benchmark
    configurations executed with per-run kernel statistics and
@@ -51,14 +51,13 @@ def sliced_strategy_demo() -> None:
 
 
 def fixpoint_driver_demo() -> None:
-    # --- the fixpoint driver layer: same space, three schedules -----
-    # (sequential = re-image the whole space each round, opsharded =
-    # one image task per operation tree-reduced with joins, frontier =
+    # --- the fixpoint driver layer: same space, two schedules -------
+    # (sequential = re-image the whole space each round, frontier =
     # the default, image only the newly added directions)
     qts = models.qrw_qts(4, 0.1)
     print("reachability of the noisy walk under each fixpoint driver:")
     dims = set()
-    for driver in ("sequential", "opsharded", "frontier"):
+    for driver in ("sequential", "frontier"):
         trace = reachable_space(qts, method="basic", driver=driver)
         print(f"  {driver:10s} {trace} "
               f"growth per round {trace.dimensions_delta}")

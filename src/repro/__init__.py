@@ -45,9 +45,11 @@ Quickstart::
     # subproblems fanned out over a process pool (identical results)
     parallel = ModelChecker(qts, CheckerConfig(strategy="sliced", jobs=4))
 
-The pre-config keyword spelling
-(``ModelChecker(qts, method="contraction", k1=4)``) still works but
-emits a :class:`DeprecationWarning`.
+``CheckerConfig`` is the only engine spelling: ``ModelChecker``,
+``make_backend`` and the sweep's ``RunSpec`` take one (or nothing, for
+the defaults) and reject loose engine keywords.  ``config.driver``
+picks the fixpoint schedule, ``frontier`` (the default) or
+``sequential``; both compute the same reachable space.
 """
 
 from repro.circuits.circuit import QuantumCircuit
@@ -64,8 +66,7 @@ from repro.mc.backends import (Backend, DenseStatevectorBackend, TDDBackend,
 from repro.mc.checker import CheckResult, ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.drivers import (DRIVERS, FixpointDriver, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver)
+                              SequentialDriver, make_driver)
 from repro.mc.logic import (Always, Atomic, Eventually, Join, Meet, Name,
                             Not, Proposition)
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
@@ -91,8 +92,8 @@ __all__ = [
     "Backend", "DenseStatevectorBackend", "TDDBackend",
     "cross_validate", "make_backend",
     "CheckerConfig", "CheckResult", "ModelChecker", "reachable_space",
-    "DRIVERS", "FixpointDriver", "SequentialDriver", "OpShardedDriver",
-    "FrontierDriver", "make_driver",
+    "DRIVERS", "FixpointDriver", "SequentialDriver", "FrontierDriver",
+    "make_driver",
     "ReachabilityCache", "ReachabilityTrace",
     "Always", "Atomic", "Eventually", "Join", "Meet", "Name", "Not",
     "Proposition", "parse_spec", "to_text",

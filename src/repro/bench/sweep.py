@@ -20,10 +20,8 @@ executed by :func:`run_sweep`:
 
 ``table1``/``table2`` are thin wrappers over this module (their grids
 are just sweep specs), and the CLI exposes it as ``python -m repro
-sweep`` — see :func:`main` for the spec-file format.  The legacy flat
-keyword spelling of :class:`RunSpec` (``method=``/``backend=``/...)
-still works — and old artifacts still resume — but new code should
-pass a ``config``.
+sweep`` — see :func:`main` for the spec-file format.  A
+:class:`RunSpec` carries its engine settings as one ``config``.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence)
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.checker import ModelChecker
-from repro.mc.config import CheckerConfig, _warn_legacy
+from repro.mc.config import CheckerConfig
 from repro.mc.drivers import DEFAULT_DRIVER
 from repro.mc.reachability import ReachabilityCache
 from repro.store import ResultStore
@@ -63,9 +61,9 @@ CSV_COLUMNS = (
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
-#: RunSpec keyword arguments that predate CheckerConfig
-_LEGACY_FIELDS = ("method", "backend", "strategy", "jobs", "slice_depth",
-                  "method_params")
+#: the engine fields of the flat run schema that predates CheckerConfig
+_FLAT_FIELDS = ("method", "backend", "strategy", "jobs", "slice_depth",
+                "method_params")
 
 
 # ----------------------------------------------------------------------
@@ -79,29 +77,14 @@ class RunSpec:
     property to check (text, e.g. ``"AG inv"`` — without one the run
     benchmarks a single image computation); ``model_params`` go to the
     circuit builder (``iterations``, ``steps``, ``noise_probability``,
-    ...).  The old flat keywords (``method=``/``backend=``/
-    ``strategy=``/``jobs=``/``slice_depth=``/``method_params=``) are
-    accepted with a :class:`DeprecationWarning`.
+    ...).
     """
 
     def __init__(self, model: str, size: int,
                  config: Optional[CheckerConfig] = None,
                  spec: Optional[str] = None,
                  model_params: Optional[Mapping] = None,
-                 label: Optional[str] = None,
-                 **legacy) -> None:
-        unknown = set(legacy) - set(_LEGACY_FIELDS)
-        if unknown:
-            raise ReproError(f"unknown RunSpec arguments "
-                             f"{sorted(unknown)}")
-        if legacy:
-            if config is not None:
-                raise ReproError("RunSpec takes either config= or the "
-                                 "legacy method/backend keywords, "
-                                 "not both")
-            _warn_legacy(f"RunSpec with keyword arguments "
-                         f"{sorted(legacy)}")
-            config = CheckerConfig.from_kwargs(**legacy)
+                 label: Optional[str] = None) -> None:
         if model not in models.MODEL_BUILDERS:
             raise ReproError(f"unknown model {model!r}; choose from "
                              f"{sorted(models.MODEL_BUILDERS)}")
@@ -112,7 +95,7 @@ class RunSpec:
         self.model_params = dict(model_params or {})
         self.label = label if label is not None else f"{model}{size}"
 
-    # legacy attribute echoes -----------------------------------------
+    # config echoes (run_id and the CSV columns read them) -----------
     @property
     def method(self) -> str:
         return self.config.method
@@ -189,20 +172,21 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunSpec":
-        """Parse either the config form or the legacy flat form.
+        """Parse the :meth:`as_dict` form.
 
-        Legacy flat dicts (``{"model": ..., "method": ..., "jobs": 1,
-        ...}`` — the pre-config artifact/spec-file schema) convert
-        silently so existing spec files keep working.
+        The flat pre-config schema (``{"model": ..., "method": ...,
+        "jobs": 1, ...}``) is rejected with a pointer to the nested
+        ``"config"`` form.
         """
         data = dict(data)
+        flat = sorted(name for name in _FLAT_FIELDS if name in data)
+        if flat:
+            raise ConfigError(f"run fields {flat} belong under "
+                              f"\"config\": nest them as "
+                              f"{{\"config\": {{...}}}}")
         if "config" in data:
-            config = CheckerConfig.from_dict(data.pop("config"))
-            return cls(config=config, **data)
-        legacy = {name: data.pop(name) for name in _LEGACY_FIELDS
-                  if name in data}
-        config = CheckerConfig.from_kwargs(**legacy)
-        return cls(config=config, **data)
+            data["config"] = CheckerConfig.from_dict(data["config"])
+        return cls(**data)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RunSpec)
@@ -298,8 +282,7 @@ class SweepSpec:
             {"name": "mine", "runs": [{"model": "ghz", "size": 4,
              "config": {"method": "basic"}, "spec": "AG init"}]}
 
-        (legacy flat run dicts remain accepted) or axes to take the
-        product of::
+        or axes to take the product of::
 
             {"name": "tiny", "models": ["ghz", "bv"], "sizes": [3, 4],
              "methods": ["basic"], "strategies": ["monolithic", "sliced"],
@@ -648,7 +631,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--drivers", type=_csv_names,
                         default=[DEFAULT_DRIVER],
                         help="comma-separated fixpoint drivers "
-                             "(sequential,opsharded,frontier)")
+                             "(sequential,frontier)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="concurrent configurations (process pool)")
     parser.add_argument("--out", default=None,

@@ -43,9 +43,8 @@ disk-backed content-addressed :class:`~repro.store.ResultStore` at
 store never changes a verdict, it only collapses repeat runs to one
 confirming iteration.
 ``reach``/``check`` additionally take ``--driver
-{sequential,opsharded,frontier}`` — the fixpoint schedule of
-``repro.mc.drivers`` (``--frontier`` remains as shorthand for the
-frontier driver).  A failed ``AG`` / satisfied ``EF`` check also
+{sequential,frontier}`` — the fixpoint schedule of
+``repro.mc.drivers``.  A failed ``AG`` / satisfied ``EF`` check also
 prints the counterexample witness trace — the operation path whose
 forward replay reproduces the event.
 
@@ -53,8 +52,8 @@ Examples::
 
     python -m repro image grover --size 4 --method contraction
     python -m repro image qrw --size 5 --strategy sliced --jobs 4
-    python -m repro reach qrw --size 4 --frontier
-    python -m repro reach qrw --size 4 --driver opsharded
+    python -m repro reach qrw --size 4 --driver frontier
+    python -m repro reach qrw --size 4 --driver sequential
     python -m repro check grover --size 4 --spec "AG inv"
     python -m repro check grover --size 3 --spec "EF marked" --backend dense
     python -m repro check grover --size 3 --spec "AG plus" --direction backward
@@ -144,10 +143,8 @@ def _add_driver_argument(parser: argparse.ArgumentParser) -> None:
                         choices=list(DRIVERS),
                         help="fixpoint schedule: frontier (the "
                              "default; image only the newly added "
-                             "directions), sequential (re-image the "
-                             "whole space each round), opsharded "
-                             "(per-operation image tasks, tree-reduced "
-                             "joins)")
+                             "directions) or sequential (re-image the "
+                             "whole space each round)")
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -224,20 +221,11 @@ def _print_join(stats) -> None:
     print(f"join       = {accepted}/{stats.join_offered} accepted")
 
 
-def _engine_label(config: CheckerConfig, frontier: bool = False) -> str:
-    # the dense reference ignores method/strategy/frontier — the config
-    # echo only prints what actually took effect
-    label = config.describe()
-    if frontier and config.backend == "tdd":
-        label += " frontier=True"
-    return label
-
-
 def _cmd_image(args) -> int:
     config = _config(args)
     result = make_backend(config).compute_image(
         _build(args), direction=config.direction)
-    print(f"model={args.model}{args.size} {_engine_label(config)}")
+    print(f"model={args.model}{args.size} {config.describe()}")
     label = "T(S0)" if config.direction == "forward" else "T~(S0)"
     print(f"dim({label}) = {result.dimension}")
     print(f"time       = {result.stats.seconds:.3f} s")
@@ -269,11 +257,7 @@ def _cmd_reach(args) -> int:
         # closed, so it must never seed — or be seeded by — the store)
         warm = (store.lookup(qts, qts.initial, config.direction, 0)
                 if store is not None and config.bound == 0 else None)
-        trace = make_backend(config).reachable(qts,
-                                               frontier=args.frontier,
-                                               direction=config.direction,
-                                               bound=config.bound,
-                                               warm_start=warm)
+        trace = make_backend(config).reachable(qts, warm_start=warm)
         if store is not None and config.bound == 0:
             if warm is not None:
                 store_line = f"hit (seed dim {warm.dimension})"
@@ -285,8 +269,7 @@ def _cmd_reach(args) -> int:
     finally:
         if store is not None:
             store.close()
-    print(f"model={args.model}{args.size} "
-          f"{_engine_label(config, frontier=args.frontier)}")
+    print(f"model={args.model}{args.size} {config.describe()}")
     if store_line is not None:
         print(f"store      = {store_line}")
     print(f"dimensions = {trace.dimensions}")
@@ -310,7 +293,7 @@ def _cmd_check(args) -> int:
     finally:
         if store is not None:
             store.close()
-    print(f"model={args.model}{args.size} {_engine_label(config)}")
+    print(f"model={args.model}{args.size} {config.describe()}")
     if store is not None and "cache_warm" in result.stats.extra:
         print("store      = "
               + ("hit" if result.stats.extra["cache_warm"] else
@@ -371,7 +354,7 @@ def _cmd_invariant(args) -> int:
     holds = checker.check_invariant(strict=args.strict)
     relation = "=" if args.strict else "<="
     print(f"T(S0) {relation} S0 for {args.model}{args.size} "
-          f"({_engine_label(config)}): {holds}")
+          f"({config.describe()}): {holds}")
     return 0 if holds else 1
 
 
@@ -395,8 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_direction_arguments(reach)
     _add_driver_argument(reach)
     _add_store_argument(reach)
-    reach.add_argument("--frontier", action="store_true",
-                       help="shorthand for --driver frontier")
     reach.set_defaults(func=_cmd_reach)
 
     check = sub.add_parser(

@@ -30,7 +30,7 @@ from repro.image.basic import BasicImageComputer
 from repro.image.addition import AdditionImageComputer
 from repro.image.contraction import ContractionImageComputer
 from repro.image.hybrid import HybridImageComputer
-from repro.image.engine import (ImageEngine, ImageTask, compute_image,
+from repro.image.engine import (ImageEngine, compute_image,
                                 make_computer, METHODS)
 from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
                                 STRATEGIES, make_executor)
@@ -38,7 +38,7 @@ from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
 __all__ = [
     "ImageResult", "BasicImageComputer", "AdditionImageComputer",
     "ContractionImageComputer", "HybridImageComputer",
-    "ImageEngine", "ImageTask", "compute_image", "make_computer",
+    "ImageEngine", "compute_image", "make_computer",
     "METHODS",
     "MonolithicExecutor", "SlicedExecutor", "STRATEGIES", "make_executor",
 ]

@@ -18,8 +18,7 @@ wrapper used throughout the benchmarks and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.image.addition import AdditionImageComputer
@@ -74,34 +73,6 @@ def make_computer(qts: QuantumTransitionSystem, method: str = "basic",
         return HybridImageComputer(qts, **params)
     raise ReproError(f"unknown image method {method!r}; "
                      f"choose from {METHODS}")
-
-
-@dataclass
-class ImageTask:
-    """One schedulable unit of image work.
-
-    The image operator distributes over operations (Proposition 1):
-    ``T(S) = v_sigma T_sigma(S)``, so one task carries the whole Kraus
-    family of one operation applied to one source subspace.  Drivers
-    (:mod:`repro.mc.drivers`) decide how the tasks of a fixpoint round
-    are scheduled and how their partial images recombine; running a
-    task routes every contraction through the engine's executor, so
-    sliced/pooled execution applies per task with no extra plumbing.
-    """
-
-    symbol: str
-    circuits: Sequence
-    source: Subspace
-    computer: ImageComputerBase
-
-    def run(self, stats: Optional[StatsRecorder] = None) -> ImageResult:
-        """The partial image ``T_sigma(source)`` with run stats."""
-        return self.computer.partial_image(self.source.basis,
-                                           self.circuits, stats)
-
-    def __repr__(self) -> str:
-        return (f"ImageTask({self.symbol!r}, kraus={len(self.circuits)}, "
-                f"source_dim={self.source.dimension})")
 
 
 class ImageEngine:
@@ -167,20 +138,6 @@ class ImageEngine:
     @property
     def executor(self):
         return self.computer.executor
-
-    # ------------------------------------------------------------------
-    def image_tasks(self, source: Subspace) -> Iterator[ImageTask]:
-        """One :class:`ImageTask` per operation of the system.
-
-        In backward mode the tasks are built against the adjoint
-        operations, so running them computes per-operation *preimages*.
-        The join of all task results equals ``computer.image(source)``
-        (same dimension and mutual containment; the Gram-Schmidt basis
-        may differ with the combine order).
-        """
-        for op in self.system.operations:
-            yield ImageTask(symbol=op.symbol, circuits=op.kraus_circuits,
-                            source=source, computer=self.computer)
 
     # ------------------------------------------------------------------
     def compute_image(self, subspace: Optional[Subspace] = None,

@@ -14,8 +14,7 @@ cross-validation ride on the same machinery.
 from repro.mc.reachability import (ReachabilityCache, ReachabilityTrace,
                                    reachable_space)
 from repro.mc.drivers import (DRIVERS, FixpointDriver, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver, tree_join)
+                              SequentialDriver, make_driver)
 from repro.mc.invariants import (is_invariant, image_equals, image_contained_in)
 from repro.mc.config import BACKENDS, CheckerConfig
 from repro.mc.backends import (Backend, CrossValidation,
@@ -31,8 +30,8 @@ from repro.mc.witness import WitnessTrace, extract_witness_trace
 
 __all__ = [
     "reachable_space", "ReachabilityCache", "ReachabilityTrace",
-    "DRIVERS", "FixpointDriver", "SequentialDriver", "OpShardedDriver",
-    "FrontierDriver", "make_driver", "tree_join",
+    "DRIVERS", "FixpointDriver", "SequentialDriver", "FrontierDriver",
+    "make_driver",
     "is_invariant", "image_equals", "image_contained_in",
     "Backend", "BACKENDS", "CheckerConfig", "CrossValidation",
     "DenseStatevectorBackend", "TDDBackend",

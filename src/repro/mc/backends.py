@@ -23,13 +23,12 @@ where the dense oracle can no longer follow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
 from repro.errors import ConfigError, ReproError
 from repro.image.base import ImageResult
 from repro.image.engine import compute_image, validate_direction
-from repro.mc.config import BACKENDS, CheckerConfig, _warn_legacy
-from repro.mc.drivers import DEFAULT_DRIVER, resolve_driver, tree_join
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import ReachabilityTrace, reachable_space
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
@@ -46,8 +45,7 @@ class Backend(Protocol):
     ``direction``/``bound`` select forward or backward (preimage)
     analysis and depth-limited fixpoints, ``driver`` the fixpoint
     schedule (:mod:`repro.mc.drivers`); ``None`` means "use the
-    engine's configured default" (forward / unbounded / frontier for
-    engines without a config).  ``warm_start`` seeds the fixpoint with
+    engine's configured default".  ``warm_start`` seeds the fixpoint with
     a subspace known to lie inside the true reachable space — served
     by the in-memory :class:`~repro.mc.reachability.ReachabilityCache`
     or the disk-backed :class:`~repro.store.ResultStore`; both key on
@@ -66,7 +64,6 @@ class Backend(Protocol):
     def reachable(self, qts: QuantumTransitionSystem,
                   initial: Optional[Subspace] = None,
                   max_iterations: int = 0,
-                  frontier: bool = False,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
                   driver: Optional[str] = None,
@@ -79,55 +76,18 @@ class Backend(Protocol):
 class TDDBackend:
     """The symbolic backend: delegates to the image/mc engine.
 
-    Construct it from a :class:`~repro.mc.config.CheckerConfig`
-    (``TDDBackend(config)``) or through the legacy keyword spelling
-    (``TDDBackend(method=..., strategy=..., jobs=..., **params)``).
+    Built from a tdd :class:`~repro.mc.config.CheckerConfig` (the
+    default config when none is given).
     """
 
     name = "tdd"
 
-    def __init__(self, method: Union[str, CheckerConfig] = "contraction",
-                 strategy: str = "monolithic",
-                 jobs: Optional[int] = None,
-                 slice_depth: Optional[int] = None,
-                 **params) -> None:
-        if isinstance(method, CheckerConfig):
-            if (strategy != "monolithic" or jobs is not None
-                    or slice_depth is not None or params):
-                raise ConfigError("TDDBackend takes either a CheckerConfig "
-                                  "or the legacy keyword arguments, "
-                                  "not both")
-            if method.backend != "tdd":
-                raise ConfigError(f"TDDBackend needs a tdd config, got "
-                                  f"backend={method.backend!r}")
-            self.config = method
-        else:
-            kwargs = dict(method=method, strategy=strategy, jobs=jobs,
-                          **params)
-            if slice_depth is not None:
-                kwargs["slice_depth"] = slice_depth
-            self.config = CheckerConfig.from_kwargs(backend="tdd", **kwargs)
-
-    # legacy attribute echoes -----------------------------------------
-    @property
-    def method(self) -> str:
-        return self.config.method
-
-    @property
-    def strategy(self) -> str:
-        return self.config.strategy
-
-    @property
-    def jobs(self) -> Optional[int]:
-        return self.config.jobs
-
-    @property
-    def slice_depth(self) -> int:
-        return self.config.slice_depth
-
-    @property
-    def params(self) -> dict:
-        return dict(self.config.method_params)
+    def __init__(self, config: Optional[CheckerConfig] = None) -> None:
+        config = config if config is not None else CheckerConfig()
+        if config.backend != "tdd":
+            raise ConfigError(f"TDDBackend needs a tdd config, got "
+                              f"backend={config.backend!r}")
+        self.config = config
 
     # ------------------------------------------------------------------
     def compute_image(self, qts: QuantumTransitionSystem,
@@ -141,7 +101,6 @@ class TDDBackend:
     def reachable(self, qts: QuantumTransitionSystem,
                   initial: Optional[Subspace] = None,
                   max_iterations: int = 0,
-                  frontier: bool = False,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
                   driver: Optional[str] = None,
@@ -150,8 +109,7 @@ class TDDBackend:
         cfg = self.config
         return reachable_space(
             qts, cfg.method, initial=initial,
-            max_iterations=max_iterations,
-            frontier=frontier, strategy=cfg.strategy,
+            max_iterations=max_iterations, strategy=cfg.strategy,
             jobs=cfg.jobs, slice_depth=cfg.slice_depth,
             direction=cfg.direction if direction is None else direction,
             bound=cfg.bound if bound is None else bound,
@@ -160,8 +118,8 @@ class TDDBackend:
             **cfg.method_params)
 
     def __repr__(self) -> str:
-        return (f"TDDBackend(method={self.method!r}, "
-                f"strategy={self.strategy!r})")
+        return (f"TDDBackend(method={self.config.method!r}, "
+                f"strategy={self.config.strategy!r})")
 
 
 class DenseStatevectorBackend:
@@ -172,18 +130,20 @@ class DenseStatevectorBackend:
     resulting orthonormal basis is lifted back into TDD states so the
     result type matches the symbolic backend exactly.
 
-    ``driver``, ``direction`` and ``bound`` are the defaults a call
-    falls back to when it passes ``None`` for them, as the tdd
+    :meth:`reachable` computes the definitional fixpoint
+    ``S_{k+1} = S_k v T(S_k)`` under every driver: the image
+    distributes over joins (Proposition 1), so both tdd schedules
+    produce its dimension ladder and the dense backend is their
+    common oracle.  ``direction`` and ``bound`` are the defaults a
+    call falls back to when it passes ``None`` for them, as the tdd
     backend's config is; an explicit argument still wins.
     """
 
     name = "dense"
 
     def __init__(self, max_qubits: int = DENSE_MAX_QUBITS,
-                 driver: str = DEFAULT_DRIVER,
                  direction: str = "forward", bound: int = 0) -> None:
         self.max_qubits = max_qubits
-        self.driver = driver
         self.direction = validate_direction(direction)
         self.bound = bound
 
@@ -236,7 +196,6 @@ class DenseStatevectorBackend:
     def reachable(self, qts: QuantumTransitionSystem,
                   initial: Optional[Subspace] = None,
                   max_iterations: int = 0,
-                  frontier: bool = False,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
                   driver: Optional[str] = None,
@@ -245,8 +204,6 @@ class DenseStatevectorBackend:
         self._check_size(qts)
         direction = validate_direction(
             self.direction if direction is None else direction)
-        driver_name = resolve_driver(
-            driver if driver is not None else self.driver, frontier)
         backward = direction == "backward"
         bound = self.bound if bound is None else bound
         current = initial if initial is not None else qts.initial
@@ -255,52 +212,25 @@ class DenseStatevectorBackend:
                              "trivial; set an initial space first")
         if warm_start is not None:
             current = current.join(warm_start)
-        # the full Kraus family plus its per-operation grouping: the
-        # opsharded schedule images each group separately and
-        # tree-reduces the partial spans (Proposition 1 makes the two
-        # equal; the SVD basis is recomputed either way)
-        per_op = [op.kraus_matrices() for op in qts.operations]
-        kraus = [matrix for group in per_op for matrix in group]
+        kraus = self._kraus_matrices(qts)
         dense = self._to_dense(current)
         trace = ReachabilityTrace(subspace=current,
                                   dimensions=[dense.dimension],
-                                  direction="backward" if backward
-                                  else "forward",
-                                  bound=bound)
+                                  direction=direction, bound=bound)
         trace.stats.extra["backend"] = self.name
         if backward:
             trace.stats.extra["direction"] = "backward"
-        if driver_name != DEFAULT_DRIVER:
-            trace.stats.extra["driver"] = driver_name
         limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
         if bound > 0:
             limit = min(limit, bound)
-
-        def image_of(source):
-            return (source.preimage(kraus) if backward
-                    else source.image(kraus))
-
-        from repro.sim.subspace_dense import DenseSubspace
         watch = Stopwatch().start()
-        frontier_dense = dense
         for _ in range(limit):
-            if driver_name == "opsharded":
-                parts = [dense.preimage(group) if backward
-                         else dense.image(group) for group in per_op]
-                grown = tree_join([dense] + parts)
-            elif driver_name == "frontier":
-                grown = dense.join(image_of(frontier_dense))
-            else:
-                grown = dense.join(image_of(dense))
+            image = (dense.preimage(kraus) if backward
+                     else dense.image(kraus))
+            grown = dense.join(image)
             trace.iterations += 1
             trace.dimensions.append(grown.dimension)
             converged = grown.dimension == dense.dimension
-            if driver_name == "frontier" and not converged:
-                # the new directions: residuals of the grown basis
-                # against the previous space (rank = the growth)
-                residual = grown.basis - dense.projector() @ grown.basis
-                frontier_dense = DenseSubspace.from_vectors(
-                    residual.T, grown.dim)
             dense = grown
             if converged:
                 break
@@ -315,34 +245,18 @@ class DenseStatevectorBackend:
         return f"DenseStatevectorBackend(max_qubits={self.max_qubits})"
 
 
-def make_backend(config: Union[CheckerConfig, str] = "tdd",
-                 method: Optional[str] = None, **params) -> Backend:
-    """Instantiate a backend from a :class:`CheckerConfig`.
-
-    The legacy spelling ``make_backend(name, method=..., **params)``
-    still works (with the old drop-mismatched-params tolerance) but
-    emits a :class:`DeprecationWarning`.
-    """
-    if isinstance(config, CheckerConfig):
-        if method is not None or params:
-            raise ConfigError("make_backend takes either a CheckerConfig "
-                              "or the legacy name/keyword arguments, "
-                              "not both")
-        cfg = config
-    else:
-        if config not in BACKENDS:
-            raise ConfigError(f"unknown backend {config!r}; "
-                              f"choose from {BACKENDS}")
-        if method is not None or params:
-            _warn_legacy("make_backend(name, method=..., **params)")
-        cfg = CheckerConfig.from_kwargs(
-            backend=config, method=method or "contraction", **params)
+def make_backend(config: Optional[CheckerConfig] = None) -> Backend:
+    """Instantiate the backend a :class:`CheckerConfig` describes."""
+    cfg = config if config is not None else CheckerConfig()
+    if not isinstance(cfg, CheckerConfig):
+        raise ConfigError(f"make_backend takes a CheckerConfig, got "
+                          f"{type(cfg).__name__}")
     if cfg.backend == "tdd":
         return TDDBackend(cfg)
     return DenseStatevectorBackend(
         max_qubits=cfg.max_qubits if cfg.max_qubits is not None
         else DENSE_MAX_QUBITS,
-        driver=cfg.driver, direction=cfg.direction, bound=cfg.bound)
+        direction=cfg.direction, bound=cfg.bound)
 
 
 # ----------------------------------------------------------------------
@@ -384,11 +298,10 @@ class CrossValidation:
 
 def cross_validate(qts: QuantumTransitionSystem,
                    subspace: Optional[Subspace] = None,
-                   method: str = "contraction",
                    tol: float = 1e-7,
                    spec=None,
                    config: Optional[CheckerConfig] = None,
-                   **params) -> CrossValidation:
+                   max_qubits: Optional[int] = None) -> CrossValidation:
     """Run the same computation on both backends and compare.
 
     Without ``spec``: one image ``T(S)`` per backend; agreement means
@@ -399,21 +312,17 @@ def cross_validate(qts: QuantumTransitionSystem,
     one full :meth:`~repro.mc.checker.ModelChecker.check` per backend;
     agreement means identical verdicts and reachable dimensions.
 
-    ``config`` fixes the symbolic engine's configuration; the legacy
-    ``method``/``params`` spelling keeps working (mixed dense options
-    like ``max_qubits`` are routed to the dense backend).
+    ``config`` is the symbolic engine's configuration (the default
+    config when omitted); the dense side shares its direction, bound
+    and driver, and ``max_qubits`` raises the dense size guard.
     """
     from repro.mc.checker import ModelChecker
-    if config is None:
-        tdd_config = CheckerConfig.from_kwargs(
-            backend="tdd", method=method, **params)
-    else:
-        if config.backend != "tdd":
-            raise ConfigError("cross_validate config must describe the "
-                              "tdd engine; the dense side is implicit")
-        tdd_config = config
+    tdd_config = config if config is not None else CheckerConfig()
+    if tdd_config.backend != "tdd":
+        raise ConfigError("cross_validate config must describe the "
+                          "tdd engine; the dense side is implicit")
     dense_config = CheckerConfig(backend="dense",
-                                 max_qubits=params.get("max_qubits"),
+                                 max_qubits=max_qubits,
                                  direction=tdd_config.direction,
                                  bound=tdd_config.bound,
                                  driver=tdd_config.driver)

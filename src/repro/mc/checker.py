@@ -15,10 +15,7 @@ reference.
 The older fine-grained checks (:meth:`image`, :meth:`reachable`,
 :meth:`check_invariant`, :meth:`check_safety`,
 :meth:`cross_validate`) remain and are implemented on the same
-machinery.  The legacy keyword constructor
-(``ModelChecker(qts, method=..., k1=..., backend=...)``) still works
-but emits a :class:`DeprecationWarning` — pass a ``CheckerConfig``
-instead::
+machinery.  The engine is configured by a ``CheckerConfig`` only::
 
     config = CheckerConfig(method="contraction",
                            method_params={"k1": 4, "k2": 4})
@@ -31,13 +28,13 @@ See ``examples/quickstart.py`` and ``examples/reachability_grover.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.config import CHECK_EPS
 from repro.errors import SpecError
 from repro.image.base import ImageResult
 from repro.mc.backends import CrossValidation, cross_validate, make_backend
-from repro.mc.config import CheckerConfig, coerce_config
+from repro.mc.config import CheckerConfig
 from repro.mc.invariants import invariant_holds
 from repro.mc.logic import Always, Atomic, Proposition, TemporalSpec
 from repro.mc.reachability import ReachabilityCache, ReachabilityTrace
@@ -138,32 +135,10 @@ class ModelChecker:
     """Model checking driver for one quantum transition system."""
 
     def __init__(self, qts: QuantumTransitionSystem,
-                 config: Union[CheckerConfig, str, None] = None,
-                 **legacy) -> None:
-        if isinstance(config, str):
-            # the pre-config positional spelling ModelChecker(qts, "basic")
-            legacy.setdefault("method", config)
-            config = None
+                 config: Optional[CheckerConfig] = None) -> None:
         self.qts = qts
-        self.config = coerce_config(config, legacy, owner="ModelChecker")
+        self.config = config if config is not None else CheckerConfig()
         self.backend = make_backend(self.config)
-
-    # legacy attribute echoes -----------------------------------------
-    @property
-    def method(self) -> str:
-        return self.config.method
-
-    @property
-    def strategy(self) -> str:
-        return self.config.strategy
-
-    @property
-    def jobs(self) -> Optional[int]:
-        return self.config.jobs
-
-    @property
-    def params(self) -> dict:
-        return dict(self.config.method_params)
 
     # ------------------------------------------------------------------
     def image(self, subspace: Optional[Subspace] = None,
@@ -175,7 +150,6 @@ class ModelChecker:
             else self.config.direction)
 
     def reachable(self, max_iterations: int = 0,
-                  frontier: bool = False,
                   direction: Optional[str] = None,
                   bound: Optional[int] = None,
                   driver: Optional[str] = None,
@@ -191,7 +165,7 @@ class ModelChecker:
         seeds the fixpoint with a subspace known to be reachable.
         """
         return self.backend.reachable(
-            self.qts, max_iterations=max_iterations, frontier=frontier,
+            self.qts, max_iterations=max_iterations,
             direction=direction if direction is not None
             else self.config.direction,
             bound=bound if bound is not None else self.config.bound,
@@ -217,7 +191,7 @@ class ModelChecker:
     # the unified specification check
     # ------------------------------------------------------------------
     def check(self, spec, initial: Optional[Subspace] = None,
-              max_iterations: int = 0, frontier: bool = False,
+              max_iterations: int = 0,
               tol: float = CHECK_EPS,
               direction: Optional[str] = None,
               bound: Optional[int] = None,
@@ -297,11 +271,11 @@ class ModelChecker:
             start = initial if initial is not None else self.qts.initial
             if direction == "backward":
                 trace, holds, witness = self._check_backward(
-                    spec, target, start, max_iterations, frontier,
+                    spec, target, start, max_iterations,
                     effective_bound, tol, reach_cache)
             else:
                 trace = self._reachable_with_cache(
-                    start, initial, max_iterations, frontier,
+                    start, initial, max_iterations,
                     "forward", effective_bound, reach_cache)
                 reached = trace.subspace
                 if isinstance(spec, Always):
@@ -345,7 +319,7 @@ class ModelChecker:
 
     def _reachable_with_cache(self, seed: Subspace,
                               initial: Optional[Subspace],
-                              max_iterations: int, frontier: bool,
+                              max_iterations: int,
                               direction: str, bound: int,
                               reach_cache) -> ReachabilityTrace:
         """The fixpoint behind a temporal check, warm-started if possible.
@@ -362,7 +336,7 @@ class ModelChecker:
                 if cacheable else None)
         trace = self.backend.reachable(
             self.qts, initial=initial, max_iterations=max_iterations,
-            frontier=frontier, direction=direction, bound=bound,
+            direction=direction, bound=bound,
             warm_start=warm)
         if cacheable:
             trace.stats.extra["cache_warm"] = warm is not None
@@ -377,7 +351,7 @@ class ModelChecker:
 
     def _check_backward(self, spec: TemporalSpec, target: Subspace,
                         start: Subspace, max_iterations: int,
-                        frontier: bool, bound: int, tol: float,
+                        bound: int, tol: float,
                         reach_cache=None):
         """Temporal verdict by backward (preimage) reachability.
 
@@ -399,7 +373,7 @@ class ModelChecker:
             trace.stats.extra["direction"] = "backward"
             return trace, isinstance(spec, Always), None
         trace = self._reachable_with_cache(
-            event, event, max_iterations, frontier, "backward", bound,
+            event, event, max_iterations, "backward", bound,
             reach_cache)
         witness = _overlap_witness(trace.subspace, start, tol)
         overlaps = witness is not None
@@ -445,7 +419,8 @@ class ModelChecker:
                           max_iterations=max_iterations).holds
 
     def __repr__(self) -> str:
-        return (f"ModelChecker({self.qts.name!r}, method={self.method!r}, "
+        return (f"ModelChecker({self.qts.name!r}, "
+                f"method={self.config.method!r}, "
                 f"backend={self.backend.name!r})")
 
 

@@ -15,13 +15,12 @@ single source of truth instead:
   spec and an artifact without defensive copying;
 * it **round-trips**: :meth:`to_json` / :meth:`from_json` and
   :meth:`as_dict` / :meth:`from_dict` for sweep artifacts,
-  :meth:`from_cli_args` for the argparse namespaces of the CLI;
-* the legacy keyword spellings remain available through
-  :meth:`from_kwargs`, which reproduces the old tolerant behaviour
-  (dropping mismatched knobs) so that deprecated call sites keep
-  working while new code gets strict validation.
+  :meth:`from_cli_args` for the argparse namespaces of the CLI.
 
-Threaded through :class:`~repro.mc.checker.ModelChecker`,
+It is the only engine spelling: the checker, the backends and the
+sweep specs take a ``CheckerConfig`` (or nothing, for the defaults)
+and no loose engine keywords.  Threaded through
+:class:`~repro.mc.checker.ModelChecker`,
 :func:`~repro.mc.backends.make_backend`,
 :class:`~repro.image.engine.ImageEngine`,
 :func:`~repro.image.engine.compute_image`, the CLI and
@@ -31,7 +30,6 @@ Threaded through :class:`~repro.mc.checker.ModelChecker`,
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
@@ -56,20 +54,13 @@ METHOD_PARAMS = {
 _TDD_ONLY_FIELDS = ("method", "strategy", "jobs", "slice_depth",
                     "method_params")
 
-#: CLI / legacy defaults for the per-method parameters (Table I values)
+#: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
     "basic": {},
     "addition": {"k": 1},
     "contraction": {"k1": 4, "k2": 4},
     "hybrid": {"k": 1, "k1": 4, "k2": 4},
 }
-
-
-def _warn_legacy(old: str, stacklevel: int = 3) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build a repro.mc.config.CheckerConfig and "
-        f"pass it as `config` instead",
-        DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -83,10 +74,11 @@ class CheckerConfig:
     guard.  ``direction`` selects forward (image) or backward
     (preimage, against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation);
-    ``driver`` picks the fixpoint schedule
-    (:mod:`repro.mc.drivers`: ``sequential`` / ``opsharded`` /
-    ``frontier``) — all three are honoured by *both* backends.  Every
-    mismatch is rejected at construction time.
+    ``driver`` picks the tdd fixpoint schedule
+    (:mod:`repro.mc.drivers`: ``sequential`` / ``frontier``); both
+    compute the same ladder, which the dense backend reproduces with
+    the definitional round.  Every mismatch is rejected at
+    construction time.
     """
 
     backend: str = "tdd"
@@ -177,39 +169,6 @@ class CheckerConfig:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, backend: str = "tdd",
-                    method: str = "contraction",
-                    strategy: str = "monolithic",
-                    jobs: Optional[int] = None,
-                    slice_depth: int = DEFAULT_SLICE_DEPTH,
-                    max_qubits: Optional[int] = None,
-                    method_params: Optional[Mapping] = None,
-                    direction: str = "forward",
-                    bound: int = 0,
-                    driver: str = DEFAULT_DRIVER,
-                    **params) -> "CheckerConfig":
-        """The legacy keyword spelling, with the legacy tolerance.
-
-        Old call sites passed tdd knobs alongside ``backend="dense"``
-        (or ``jobs`` without the sliced strategy) and relied on them
-        being dropped; this shim reproduces that so deprecated
-        constructors keep working.  New code should construct
-        :class:`CheckerConfig` directly and get strict validation.
-        """
-        merged = dict(method_params or {})
-        merged.update(params)
-        if strategy != "sliced":
-            jobs = None
-            slice_depth = DEFAULT_SLICE_DEPTH
-        if backend == "dense":
-            return cls(backend="dense", max_qubits=max_qubits,
-                       direction=direction, bound=bound, driver=driver)
-        return cls(backend=backend, method=method, strategy=strategy,
-                   jobs=jobs, slice_depth=slice_depth,
-                   method_params=merged, direction=direction, bound=bound,
-                   driver=driver)
-
     @classmethod
     def from_cli_args(cls, args) -> "CheckerConfig":
         """Build a config from an argparse namespace (strictly).
@@ -317,26 +276,3 @@ _DEFAULTS = {f.name: (f.default_factory() if f.default is MISSING
              for f in fields(CheckerConfig)
              if f.name in _TDD_ONLY_FIELDS}
 
-
-def coerce_config(config, legacy_kwargs: dict, *,
-                  owner: str) -> CheckerConfig:
-    """Resolve the ``config``-or-legacy-kwargs calling convention.
-
-    Shared by the constructors that accept both the new ``config``
-    object and the deprecated keyword spelling.  Passing both is an
-    error; the legacy spelling emits a :class:`DeprecationWarning`.
-    """
-    if config is not None and legacy_kwargs:
-        raise ConfigError(f"{owner} takes either a CheckerConfig or the "
-                          f"legacy keyword arguments "
-                          f"{sorted(legacy_kwargs)}, not both")
-    if config is not None:
-        if not isinstance(config, CheckerConfig):
-            raise ConfigError(f"{owner} config must be a CheckerConfig, "
-                              f"got {type(config).__name__}")
-        return config
-    if legacy_kwargs:
-        _warn_legacy(f"{owner} with engine keyword arguments "
-                     f"{sorted(legacy_kwargs)}", stacklevel=4)
-        return CheckerConfig.from_kwargs(**legacy_kwargs)
-    return CheckerConfig()

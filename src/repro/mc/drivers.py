@@ -1,45 +1,39 @@
-"""Fixpoint drivers: pluggable schedules for ``S_{k+1} = S_k v T(S_k)``.
+"""Fixpoint drivers: the two schedules of ``S_{k+1} = S_k v T(S_k)``.
 
 The reachability fixpoint has two independent halves: the image
 *kernel* (how one ``T(S)`` is computed — method × execution strategy,
-see :mod:`repro.image`) and the fixpoint *schedule* (what work each
-round issues and how partial results recombine).  A
-:class:`FixpointDriver` owns the schedule; :func:`~repro.mc.
-reachability.reachable_space` is a thin façade that builds the engine,
-picks a driver and delegates the loop.  Three drivers ship:
+see :mod:`repro.image`) and the fixpoint *schedule* (which states each
+round images).  A :class:`FixpointDriver` owns the schedule;
+:func:`~repro.mc.reachability.reachable_space` is a thin façade that
+builds the engine, picks a driver and delegates the loop.  Two drivers
+ship:
 
 * ``frontier`` (the default) — each round images only the basis
   vectors added by the previous round (sound because the image
   distributes over joins, Proposition 1) and Gram-Schmidts every image
   state straight into the accumulator:
   ``S_{k+1} = partial_image(F_k, circuits, into=S_k)``.
-* ``sequential`` — the classic round: the whole of ``S_k`` is
+* ``sequential`` — the definitional round: the whole of ``S_k`` is
   re-imaged and joined into the accumulator the same way,
-  ``partial_image(S_k, circuits, into=S_k)``.
-* ``opsharded`` — each round fans out one
-  :class:`~repro.image.engine.ImageTask` per operation (the engine's
-  per-operation task API) and recombines the accumulator with the
-  partial images through a balanced *tree-reduce of joins*.  Task
-  contractions run through the engine's executor, so the sliced
-  strategy's cofactor decomposition — and its worker pool — are shared
-  between slicing and sharding rather than duplicated per shard.
+  ``partial_image(S_k, circuits, into=S_k)``.  It is the reference
+  the frontier schedule is tested against.
 
-Under ``frontier`` and ``sequential`` each image state costs exactly
-one Gram-Schmidt step, against the accumulator, and the grown basis
-keeps ``S_k``'s vectors as its prefix; the frontier of the next round
-is the plain list of the vectors appended after that prefix.  In
-backward mode the circuits come from ``engine.computer.qts`` — the
-adjoint system the engine built — never from ``engine.qts``, the
-forward one.
+Each image state costs exactly one Gram-Schmidt step, against the
+accumulator, and the grown basis keeps ``S_k``'s vectors as its
+prefix; the frontier of the next round is the plain list of the
+vectors appended after that prefix.  In backward mode the circuits
+come from ``engine.computer.qts`` — the adjoint system the engine
+built — never from ``engine.qts``, the forward one.
 
-Every driver computes the same reachable subspace (same dimension,
-mutual containment); they differ in work granularity and combine
-order, so Gram-Schmidt bases — not the spanned spaces — may differ.
+Both drivers compute the same dimension ladder and the same reachable
+subspace (mutual containment); they differ in how many states each
+round images, so Gram-Schmidt bases — not the spanned spaces — may
+differ.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ReproError
 from repro.image.engine import ImageEngine
@@ -48,31 +42,10 @@ from repro.tdd.tdd import TDD
 from repro.utils.stats import StatsRecorder
 
 #: the available fixpoint schedules
-DRIVERS = ("sequential", "opsharded", "frontier")
+DRIVERS = ("sequential", "frontier")
 
 #: the driver every config/CLI surface defaults to
 DEFAULT_DRIVER = "frontier"
-
-
-def tree_join(subspaces: Sequence[Subspace]) -> Subspace:
-    """Join subspaces pairwise, halving the list each pass.
-
-    The balanced combine keeps each intermediate join small (the
-    Gram-Schmidt cost of ``a.join(b)`` is linear in ``dim b`` against
-    the accumulated projector of ``a``) instead of funnelling every
-    partial image through one ever-growing accumulator.
-    """
-    items: List[Subspace] = list(subspaces)
-    if not items:
-        raise ReproError("tree_join needs at least one subspace")
-    while len(items) > 1:
-        paired = []
-        for i in range(0, len(items) - 1, 2):
-            paired.append(items[i].join(items[i + 1]))
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
 
 
 class FixpointDriver:
@@ -154,27 +127,6 @@ class SequentialDriver(FixpointDriver):
         return join_image(engine, current.basis, current, stats)
 
 
-class OpShardedDriver(FixpointDriver):
-    """Per-operation sharding with a tree-reduce of joins.
-
-    Each round asks the engine for its per-operation
-    :class:`~repro.image.engine.ImageTask` list, runs every task (its
-    contractions go through the one shared executor, so the sliced
-    strategy's pool serves the shards too), and tree-reduces
-    ``[S_k, T_sigma1(S_k), T_sigma2(S_k), ...]`` into ``S_{k+1}``.
-    """
-
-    name = "opsharded"
-
-    def advance(self, engine: ImageEngine, current: Subspace,
-                stats: StatsRecorder) -> Subspace:
-        partials = [task.run(stats).subspace
-                    for task in engine.image_tasks(current)]
-        stats.extra["shards"] = (stats.extra.get("shards", 0)
-                                 + len(partials))
-        return tree_join([current] + partials)
-
-
 class FrontierDriver(FixpointDriver):
     """Image only the directions added by the previous round."""
 
@@ -199,7 +151,7 @@ class FrontierDriver(FixpointDriver):
 
 
 _DRIVER_CLASSES = {cls.name: cls for cls in
-                   (SequentialDriver, OpShardedDriver, FrontierDriver)}
+                   (SequentialDriver, FrontierDriver)}
 
 
 def make_driver(name: str) -> FixpointDriver:
@@ -210,18 +162,3 @@ def make_driver(name: str) -> FixpointDriver:
         raise ReproError(f"unknown driver {name!r}; "
                          f"choose from {DRIVERS}") from None
 
-
-def resolve_driver(driver: Optional[str], frontier: bool) -> str:
-    """Fold the legacy ``frontier`` flag into a driver name.
-
-    An unset driver resolves to :data:`DEFAULT_DRIVER` (``frontier``).
-    ``frontier=True`` is shorthand for the frontier driver; next to an
-    explicit different driver it is rejected as contradictory.
-    """
-    if driver is None:
-        return "frontier" if frontier else DEFAULT_DRIVER
-    if frontier and driver != "frontier":
-        raise ReproError(
-            f"frontier=True is the frontier driver; it cannot be "
-            f"combined with driver={driver!r}")
-    return driver

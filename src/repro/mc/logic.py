@@ -241,17 +241,13 @@ def satisfies(state: TDD, prop: Proposition, space: StateSpace,
 
 def _temporal_check(qts: QuantumTransitionSystem, spec, method: str,
                     params: dict) -> bool:
-    # split the reachability kwargs the pre-config helpers forwarded
-    # to reachable_space from the engine configuration proper
+    # split the reachability options from the method parameters
     from repro.mc.checker import ModelChecker
     from repro.mc.config import CheckerConfig
     reach_kwargs = {name: params.pop(name)
-                    for name in ("initial", "max_iterations", "frontier")
+                    for name in ("initial", "max_iterations")
                     if name in params}
-    # ``gc`` was a reachable_space perf knob; check() always collects,
-    # so it is accepted for compatibility and has no effect
-    params.pop("gc", None)
-    config = CheckerConfig.from_kwargs(method=method, **params)
+    config = CheckerConfig(method=method, method_params=params)
     return ModelChecker(qts, config).check(spec, **reach_kwargs).holds
 
 
@@ -262,10 +258,10 @@ def check_always(qts: QuantumTransitionSystem, prop: Proposition,
     A convenience wrapper over
     :meth:`~repro.mc.checker.ModelChecker.check` — use ``check``
     directly for the full :class:`~repro.mc.checker.CheckResult`
-    (witness subspace, trace, kernel stats).  ``params`` may mix
-    engine parameters with the reachability options ``initial`` /
-    ``max_iterations`` / ``frontier`` (``gc`` is accepted for
-    compatibility; collection is always on).
+    (witness subspace, trace, kernel stats).  ``params`` may mix the
+    method's parameters with the reachability options ``initial`` /
+    ``max_iterations``; anything else is rejected by
+    :class:`~repro.mc.config.CheckerConfig`.
     """
     return _temporal_check(qts, Always(prop), method, dict(params))
 

@@ -9,8 +9,8 @@ place of unions (paper, Sections I and III).
 
 :func:`reachable_space` is a thin façade: it builds the
 :class:`~repro.image.engine.ImageEngine`, picks a fixpoint *driver*
-(:mod:`repro.mc.drivers` — ``sequential`` / ``opsharded`` /
-``frontier``) and delegates the loop, keeping only the bookkeeping
+(:mod:`repro.mc.drivers` — ``sequential`` / ``frontier``) and
+delegates the loop, keeping only the bookkeeping
 (trace, stopwatch, GC baseline, engine teardown) here.
 :class:`ReachabilityCache` lets batch runners warm-start a fixpoint
 from a previously computed reachable space when only the image method
@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.image.engine import ImageEngine
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
-from repro.mc.drivers import DEFAULT_DRIVER, make_driver, resolve_driver
+from repro.mc.drivers import DEFAULT_DRIVER, make_driver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.io import from_dict, payload_digest, to_dict
@@ -71,14 +71,13 @@ def reachable_space(qts: QuantumTransitionSystem,
                     method: str = "contraction",
                     initial: Optional[Subspace] = None,
                     max_iterations: int = 0,
-                    frontier: bool = False,
                     gc: bool = True,
                     strategy: str = "monolithic",
                     jobs: Optional[int] = None,
                     slice_depth: int = DEFAULT_SLICE_DEPTH,
                     direction: str = "forward",
                     bound: int = 0,
-                    driver: Optional[str] = None,
+                    driver: str = DEFAULT_DRIVER,
                     warm_start: Optional[Subspace] = None,
                     **params) -> ReachabilityTrace:
     """Compute the reachable subspace of ``qts``.
@@ -93,20 +92,18 @@ def reachable_space(qts: QuantumTransitionSystem,
 
     ``driver`` selects the fixpoint schedule (see
     :mod:`repro.mc.drivers`): ``frontier`` (the default; each round
-    images only the directions the previous round added),
-    ``sequential`` (each round re-images the whole of ``S_k``) or
-    ``opsharded`` (per-operation image tasks tree-reduced with joins).
-    ``frontier`` and ``sequential`` Gram-Schmidt every image state
-    once, straight into the accumulator.  The legacy ``frontier=True``
-    flag is shorthand for ``driver="frontier"``.
+    images only the directions the previous round added) or
+    ``sequential`` (each round re-images the whole of ``S_k``).  Both
+    Gram-Schmidt every image state once, straight into the
+    accumulator.
 
     ``direction="backward"`` runs the same fixpoint against the
     *adjoint* transition relation (cached Kraus-dagger operator TDDs,
     see :meth:`~repro.systems.qts.QuantumTransitionSystem.adjoint`):
     the result is the space of states that can *reach* ``initial``,
     the standard symbolic-model-checking complement of forward
-    reachability.  All four methods, both execution strategies and all
-    three drivers apply unchanged.  Direction validation happens once,
+    reachability.  All four methods, both execution strategies and both
+    drivers apply unchanged.  Direction validation happens once,
     in the :class:`~repro.image.engine.ImageEngine`; an unknown
     direction propagates from there as a :class:`ReproError`.
 
@@ -135,8 +132,7 @@ def reachable_space(qts: QuantumTransitionSystem,
     long fixpoints.  The trace stats report the cache hit/miss deltas
     and GC activity of the whole run.
     """
-    driver_name = resolve_driver(driver, frontier)
-    fixpoint = make_driver(driver_name)
+    fixpoint = make_driver(driver)
     engine = ImageEngine(qts, method, strategy=strategy, jobs=jobs,
                          slice_depth=slice_depth, direction=direction,
                          **params)
@@ -157,8 +153,8 @@ def reachable_space(qts: QuantumTransitionSystem,
         trace.stats.extra["strategy"] = strategy
     if direction != "forward":
         trace.stats.extra["direction"] = direction
-    if driver_name != DEFAULT_DRIVER:
-        trace.stats.extra["driver"] = driver_name
+    if driver != DEFAULT_DRIVER:
+        trace.stats.extra["driver"] = driver
     limit = max_iterations if max_iterations > 0 else 2 ** qts.num_qubits
     if bound > 0:
         limit = min(limit, bound)
@@ -183,6 +179,20 @@ def reachable_space(qts: QuantumTransitionSystem,
 # ----------------------------------------------------------------------
 # warm-start cache
 # ----------------------------------------------------------------------
+def admissible(trace: ReachabilityTrace, bound: int) -> bool:
+    """May ``trace`` be stored as a reachable space for reuse?
+
+    Only converged, unbounded fixpoints are.  The rule judges the
+    trace (``trace.bound``/``trace.converged``) as well as the
+    caller's ``bound``: a bounded reachable set is not closed under
+    the transition relation, so storing one under an unbounded key
+    would later seed an unbounded fixpoint with unreachable
+    directions — a wrong answer, not just a slow one.  Shared by
+    :class:`ReachabilityCache` and :class:`~repro.store.ResultStore`.
+    """
+    return trace.converged and bound == 0 and trace.bound == 0
+
+
 #: per-system memo: the operation list is fixed at construction, so
 #: the hash over every gate matrix only ever needs computing once
 _SYSTEM_FINGERPRINTS: "weakref.WeakKeyDictionary" = \
@@ -284,15 +294,8 @@ class ReachabilityCache:
 
     def store(self, qts: QuantumTransitionSystem, initial: Subspace,
               direction: str, bound: int, trace: ReachabilityTrace) -> None:
-        """Record a finished fixpoint (converged, unbounded runs only).
-
-        The guard inspects ``trace.bound`` as well as the caller's
-        ``bound``: a bounded reachable set is not closed under the
-        transition relation, so storing one under an unbounded key
-        would later seed an unbounded fixpoint with unreachable
-        directions — a wrong answer, not just a slow one.
-        """
-        if not trace.converged or bound != 0 or trace.bound != 0:
+        """Record a finished fixpoint if :func:`admissible` allows it."""
+        if not admissible(trace, bound):
             return
         self._entries[self.key(qts, initial, direction, bound)] = \
             [to_dict(vector) for vector in trace.subspace.basis]

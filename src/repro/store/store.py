@@ -338,13 +338,12 @@ class ResultStore:
               direction: str, bound: int, trace) -> bool:
         """Persist a finished fixpoint; returns True when written.
 
-        Same admission rule as the in-memory cache: only *converged*,
-        *unbounded* runs are sound warm-start seeds — judged from the
-        trace itself (``trace.bound``/``trace.converged``), not just
-        the caller's ``bound`` argument, so a bounded trace can never
-        be laundered into the unbounded key space.
+        The admission rule is the in-memory cache's,
+        :func:`~repro.mc.reachability.admissible`: only converged,
+        unbounded traces are sound warm-start seeds.
         """
-        if not trace.converged or bound != 0 or trace.bound != 0:
+        from repro.mc.reachability import admissible
+        if not admissible(trace, bound):
             return False
         key, system, seed = self.key(qts, initial, direction, bound)
         row = self._conn.execute("SELECT 1 FROM entries WHERE key=?",

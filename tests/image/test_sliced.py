@@ -16,6 +16,7 @@ from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
 from repro.image.base import input_sum_indices
 from repro.circuits.network import circuit_to_tdd
 from repro.mc.checker import ModelChecker
+from repro.mc.config import CheckerConfig
 from repro.mc.reachability import reachable_space
 from repro.systems import models
 from repro.tdd.io import order_payload, to_dict
@@ -294,7 +295,8 @@ class TestTopLevelPlumbing:
 
     def test_model_checker_strategy(self):
         qts = models.grover_qts(4, initial="invariant")
-        checker = ModelChecker(qts, method="basic", strategy="sliced")
+        checker = ModelChecker(qts, CheckerConfig(method="basic",
+                                                  strategy="sliced"))
         assert checker.check_invariant(strict=True)
 
     def test_engine_context_manager_closes_pool(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ModelChecker, models
+from repro import CheckerConfig, ModelChecker, models
 from repro.image.engine import compute_image
 from repro.subspace.projector import basis_decompose
 
@@ -52,7 +52,8 @@ class TestSectionIIIA1_Grover:
     ])
     def test_invariant_all_methods(self, method, params):
         qts = models.grover_qts(3, initial="invariant")
-        checker = ModelChecker(qts, method=method, **params)
+        checker = ModelChecker(qts, CheckerConfig(method=method,
+                                                  method_params=params))
         assert checker.check_invariant(strict=True)
 
     def test_input_state_reaches_marked(self):
@@ -74,7 +75,8 @@ class TestSectionIIIA2_Bitflip:
     def test_error_states_corrected(self, method, params):
         qts = models.bitflip_qts()
         expected = qts.space.span([qts.space.basis_state([0] * 6)])
-        checker = ModelChecker(qts, method=method, **params)
+        checker = ModelChecker(qts, CheckerConfig(method=method,
+                                                  method_params=params))
         assert checker.check_image_equals(expected)
 
     def test_paper_partition_parameters(self):

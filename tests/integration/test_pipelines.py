@@ -46,7 +46,7 @@ class TestQasmToModelChecking:
         qts = QuantumTransitionSystem(
             3, [QuantumOperation.unitary("u", circuit)])
         qts.set_initial_basis_states([[0, 0, 0]])
-        trace = reachable_space(qts, method="contraction", frontier=True)
+        trace = reachable_space(qts, method="contraction", driver="frontier")
         assert trace.converged
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SpecError
+from repro.errors import ConfigError, SpecError
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.logic import Always, Atomic
@@ -186,18 +186,20 @@ class TestChecksOnTopOfCheck:
             method="basic")
 
     def test_temporal_helpers_keep_reachability_kwargs(self):
-        # regression: the pre-config helpers forwarded these to
-        # reachable_space; the config shim must not eat them
+        # regression: the helpers forward these to check(); the config
+        # they build must not eat them
         qts = models.qrw_qts(3, 0.2)
         from repro.mc.logic import check_always, check_eventually_overlaps
         start = Atomic(qts.named_subspace("start"), "start")
         assert not check_always(qts, start, method="basic",
                                 max_iterations=2)
-        assert check_eventually_overlaps(qts, start, method="basic",
-                                         frontier=True)
-        # the old gc knob is tolerated (collection is always on)
-        assert check_eventually_overlaps(qts, start, method="basic",
-                                         gc=False)
+        assert check_eventually_overlaps(qts, start, method="contraction",
+                                         k1=2, k2=2,
+                                         initial=qts.initial)
+        # anything else is neither a reachability option nor a method
+        # parameter, and the config rejects it
+        with pytest.raises(ConfigError, match="gc"):
+            check_eventually_overlaps(qts, start, method="basic", gc=False)
 
     def test_invariant_uses_one_fixpoint_round(self):
         # T(S) <= S is decided by a single join step — a non-invariant

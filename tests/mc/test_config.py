@@ -1,4 +1,4 @@
-"""CheckerConfig: validation, round-trips, CLI wiring, legacy shims."""
+"""CheckerConfig: validation, round-trips, CLI wiring, removed spellings."""
 
 import argparse
 import dataclasses
@@ -6,11 +6,13 @@ import warnings
 
 import pytest
 
+from repro.bench.sweep import RunSpec
 from repro.errors import ConfigError, ReproError
 from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.backends import make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
+from repro.mc.reachability import reachable_space
 from repro.systems import models
 
 
@@ -183,28 +185,8 @@ class TestFromCliArgs:
 
 
 class TestLegacyShims:
-    def test_from_kwargs_drops_mismatches_like_the_old_api(self):
-        config = CheckerConfig.from_kwargs(backend="dense",
-                                           method="contraction",
-                                           k1=2, k2=2, max_qubits=8)
-        assert config.backend == "dense"
-        assert config.max_qubits == 8
-        assert config.method_params == {}
-        inline = CheckerConfig.from_kwargs(jobs=4)  # monolithic: dropped
-        assert inline.jobs is None
-
-    def test_model_checker_legacy_kwargs_warn_but_work(self):
-        qts = models.grover_qts(3, initial="invariant")
-        with pytest.warns(DeprecationWarning):
-            checker = ModelChecker(qts, method="contraction", k1=2, k2=2)
-        assert checker.method == "contraction"
-        assert checker.params == {"k1": 2, "k2": 2}
-        assert checker.check_invariant(strict=True)
-
-    def test_model_checker_positional_method_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            checker = ModelChecker(models.ghz_qts(3), "basic")
-        assert checker.method == "basic"
+    """The legacy keyword spellings are gone; the config path is the
+    only one, and it neither warns nor tolerates leftover keywords."""
 
     def test_model_checker_config_path_does_not_warn(self):
         with warnings.catch_warnings():
@@ -212,20 +194,15 @@ class TestLegacyShims:
             ModelChecker(models.ghz_qts(3), CheckerConfig(method="basic"))
 
     def test_model_checker_rejects_config_plus_kwargs(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="method"):
             ModelChecker(models.ghz_qts(3), CheckerConfig(),
                          method="basic")
-
-    def test_make_backend_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            backend = make_backend("tdd", method="basic")
-        assert backend.method == "basic"
 
     def test_make_backend_config_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             backend = make_backend(CheckerConfig(method="basic"))
-        assert backend.method == "basic"
+        assert backend.config.method == "basic"
 
     def test_make_backend_from_config(self):
         assert set(BACKENDS) == {"tdd", "dense"}
@@ -235,14 +212,14 @@ class TestLegacyShims:
         assert dense.max_qubits == 9
 
     def test_make_backend_rejects_config_plus_kwargs(self):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="method"):
             make_backend(CheckerConfig(), method="basic")
 
     def test_tdd_backend_rejects_config_plus_kwargs(self):
         # a leftover legacy kwarg next to a config must not be
         # silently discarded
         from repro.mc.backends import TDDBackend
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="jobs"):
             TDDBackend(CheckerConfig(method="basic"), jobs=4,
                        strategy="sliced")
 
@@ -250,3 +227,32 @@ class TestLegacyShims:
         # callers catching the package base class keep working
         with pytest.raises(ReproError):
             CheckerConfig(backend="nonsense")
+
+
+def _qts():
+    return models.ghz_qts(3)
+
+
+#: every spelling the config replaced, and the frontier flag and the
+#: opsharded driver: each must fail at the call, not warn and carry on
+REMOVED_SPELLINGS = {
+    "checker-method-kwarg": lambda: ModelChecker(_qts(), method="basic"),
+    "checker-positional-method": lambda: ModelChecker(_qts(), "basic"),
+    "make-backend-name-kwargs": lambda: make_backend("tdd", method="basic"),
+    "make-backend-name": lambda: make_backend("dense"),
+    "runspec-method-kwarg": lambda: RunSpec("ghz", 3, method="basic"),
+    "runspec-flat-schema": lambda: RunSpec.from_dict(
+        {"model": "ghz", "size": 3, "method": "basic"}),
+    "opsharded-driver": lambda: CheckerConfig(driver="opsharded"),
+    "frontier-flag": lambda: reachable_space(_qts(), frontier=True),
+}
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("call", REMOVED_SPELLINGS.values(),
+                             ids=REMOVED_SPELLINGS.keys())
+    def test_fails_loudly(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ConfigError, TypeError)):
+                call()

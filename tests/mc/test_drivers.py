@@ -1,15 +1,14 @@
-"""The fixpoint driver layer: schedules, task API, warm-start cache."""
+"""The fixpoint driver layer: schedules and the warm-start cache."""
 
 import pytest
 
 from repro.errors import ConfigError, ReproError
 from repro.image.engine import ImageEngine
-from repro.mc.backends import DenseStatevectorBackend, make_backend
+from repro.mc.backends import DenseStatevectorBackend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.drivers import (DEFAULT_DRIVER, DRIVERS, FrontierDriver,
-                              OpShardedDriver, SequentialDriver,
-                              make_driver, resolve_driver, tree_join)
+                              SequentialDriver, make_driver)
 from repro.mc.reachability import (ReachabilityCache, reachable_space,
                                    subspace_fingerprint,
                                    system_fingerprint)
@@ -35,29 +34,7 @@ def equal_spaces(a, b):
             and a.contains(b) and b.contains(a))
 
 
-class TestImageTasks:
-    def test_one_task_per_operation(self):
-        qts = models.bitflip_qts()
-        with ImageEngine(qts, "basic") as engine:
-            tasks = list(engine.image_tasks(qts.initial))
-        assert [t.symbol for t in tasks] == qts.symbols
-        assert all(len(t.circuits) == op.num_kraus
-                   for t, op in zip(tasks, qts.operations))
-
-    def test_task_join_equals_monolithic_image(self):
-        qts = models.qrw_qts(3, 0.2)
-        with ImageEngine(qts, "basic") as engine:
-            whole = engine.computer.image(qts.initial).subspace
-            partials = [task.run().subspace
-                        for task in engine.image_tasks(qts.initial)]
-        assert equal_spaces(tree_join(partials), whole)
-
-    def test_backward_tasks_use_adjoint_operations(self):
-        qts = models.ghz_qts(3)
-        with ImageEngine(qts, "basic", direction="backward") as engine:
-            tasks = list(engine.image_tasks(qts.initial))
-        assert [t.symbol for t in tasks] == qts.adjoint().symbols
-
+class TestPartialImage:
     def test_partial_image_with_all_circuits_is_image(self):
         qts = models.grover_qts(3)
         with ImageEngine(qts, "basic") as engine:
@@ -67,33 +44,13 @@ class TestImageTasks:
         assert equal_spaces(full, partial)
 
 
-class TestTreeJoin:
-    def test_single_item(self):
-        qts = models.ghz_qts(2)
-        assert tree_join([qts.initial]) is qts.initial
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            tree_join([])
-
-    def test_matches_sequential_fold(self):
-        qts = models.qrw_qts(3, 0.2)
-        spans = [qts.space.span([v]) for v in
-                 reachable_space(qts, method="basic").subspace.basis]
-        folded = spans[0]
-        for span in spans[1:]:
-            folded = folded.join(span)
-        assert equal_spaces(tree_join(spans), folded)
-
-
 class TestDriverRegistry:
     def test_names(self):
-        assert DRIVERS == ("sequential", "opsharded", "frontier")
+        assert DRIVERS == ("sequential", "frontier")
         assert DEFAULT_DRIVER == "frontier"
 
     @pytest.mark.parametrize("name,cls", [
         ("sequential", SequentialDriver),
-        ("opsharded", OpShardedDriver),
         ("frontier", FrontierDriver),
     ])
     def test_make_driver(self, name, cls):
@@ -110,41 +67,32 @@ class TestDriverRegistry:
             CheckerConfig(driver="nonsense")
 
     def test_config_driver_round_trip(self):
-        config = CheckerConfig(driver="opsharded")
+        config = CheckerConfig(driver="sequential")
         assert CheckerConfig.from_json(config.to_json()) == config
-        assert "driver=opsharded" in config.describe()
+        assert "driver=sequential" in config.describe()
         assert "driver" not in CheckerConfig().describe()
 
     def test_dense_config_accepts_driver(self):
         config = CheckerConfig(backend="dense", driver="frontier")
         assert config.driver == "frontier"
 
-    def test_frontier_flag_resolves(self):
-        assert resolve_driver(None, True) == "frontier"
-        assert resolve_driver(None, False) == "frontier"
-        assert resolve_driver("frontier", True) == "frontier"
-        assert resolve_driver("sequential", False) == "sequential"
-        assert resolve_driver("opsharded", False) == "opsharded"
-
-    def test_frontier_flag_contradiction_rejected(self):
-        with pytest.raises(ReproError, match="frontier"):
-            resolve_driver("opsharded", True)
-
     def test_reachable_space_rejects_contradiction(self):
-        with pytest.raises(ReproError, match="frontier"):
-            reachable_space(models.ghz_qts(2), method="basic",
-                            frontier=True, driver="opsharded")
+        # the schedule is picked by driver= only; frontier is not a
+        # keyword, whatever driver it comes with
+        with pytest.raises(TypeError, match="frontier"):
+            reachable_space(models.ghz_qts(2), frontier=True,
+                            driver="sequential")
 
 
 class TestDriverEquality:
     @pytest.mark.parametrize("family,builder", FAMILIES)
-    def test_opsharded_matches_sequential(self, family, builder):
+    def test_frontier_matches_sequential(self, family, builder):
         qts = builder()
         seq = reachable_space(qts, method="basic", driver="sequential")
-        shard = reachable_space(qts, method="basic", driver="opsharded")
-        assert shard.dimensions == seq.dimensions
-        assert equal_spaces(shard.subspace, seq.subspace)
-        assert subspace_to_dense(shard.subspace).equals(
+        fast = reachable_space(qts, method="basic", driver="frontier")
+        assert fast.dimensions == seq.dimensions
+        assert equal_spaces(fast.subspace, seq.subspace)
+        assert subspace_to_dense(fast.subspace).equals(
             subspace_to_dense(seq.subspace))
 
     @pytest.mark.parametrize("driver", DRIVERS)
@@ -160,27 +108,12 @@ class TestDriverEquality:
         assert trace.dimensions == base.dimensions
         assert equal_spaces(trace.subspace, base.subspace)
 
-    def test_frontier_driver_equals_frontier_flag(self):
-        qts = models.qrw_qts(3, 0.2)
-        flag = reachable_space(qts, method="basic", frontier=True)
-        driver = reachable_space(qts, method="basic", driver="frontier")
-        assert driver.dimensions == flag.dimensions
-        assert driver.stats.contractions == flag.stats.contractions
-        assert equal_spaces(driver.subspace, flag.subspace)
-
-    def test_opsharded_with_sliced_strategy_shares_executor(self):
-        qts = models.qrw_qts(3, 0.2)
-        seq = reachable_space(qts, method="basic", driver="sequential")
-        shard = reachable_space(qts, method="basic",
-                                driver="opsharded", strategy="sliced")
-        assert equal_spaces(shard.subspace, seq.subspace)
-        assert shard.stats.slices > 0          # the one shared executor
-        assert shard.stats.extra["shards"] > 0
-
-    def test_opsharded_records_driver_extra(self):
+    def test_sequential_records_driver_extra(self):
         trace = reachable_space(models.ghz_qts(3), method="basic",
-                                driver="opsharded")
-        assert trace.stats.extra["driver"] == "opsharded"
+                                driver="sequential")
+        assert trace.stats.extra["driver"] == "sequential"
+        default = reachable_space(models.ghz_qts(3), method="basic")
+        assert "driver" not in default.stats.extra
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_dense_backend_honours_driver(self, driver):
@@ -198,11 +131,6 @@ class TestDriverEquality:
                 "AG inv")
             assert result.holds
             assert result.reachable_dimension == 2
-
-    def test_make_backend_dense_picks_up_driver(self):
-        backend = make_backend(CheckerConfig(backend="dense",
-                                             driver="opsharded"))
-        assert backend.driver == "opsharded"
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_witness_traces_work_under_every_driver(self, driver):

@@ -1,4 +1,4 @@
-"""Frontier-set reachability refinement."""
+"""Frontier-set reachability refinement, against the sequential driver."""
 
 import pytest
 
@@ -21,7 +21,8 @@ class TestFrontier:
     def test_agrees_with_full_iteration(self, builder):
         full = reachable_space(builder(), method="basic",
                                driver="sequential")
-        fast = reachable_space(builder(), method="basic", frontier=True)
+        fast = reachable_space(builder(), method="basic",
+                               driver="frontier")
         assert full.converged and fast.converged
         assert subspace_to_dense(full.subspace).equals(
             subspace_to_dense(fast.subspace))
@@ -32,7 +33,7 @@ class TestFrontier:
         full = reachable_space(models.qrw_qts(3, 0.2), method="basic",
                                driver="sequential")
         fast = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                               frontier=True)
+                               driver="frontier")
         assert fast.stats.contractions < full.stats.contractions
 
     def test_frontier_with_contraction_method(self):
@@ -41,35 +42,38 @@ class TestFrontier:
                                driver="sequential")
         fast = reachable_space(models.qrw_qts(3, 0.3),
                                method="contraction", k1=2, k2=2,
-                               frontier=True)
+                               driver="frontier")
         assert subspace_to_dense(full.subspace).equals(
             subspace_to_dense(fast.subspace))
 
 
 class TestFrontierBackwardBounded:
-    """Frontier mode combined with backward analysis and bound > 0.
+    """The frontier driver combined with backward analysis and bound > 0.
 
     Each feature was previously only tested independently; these pin
-    down the combination on both backends.
+    down the combination on both backends, against the sequential
+    driver and the dense backend's definitional fixpoint.
     """
 
-    def _tdd(self, frontier, bound):
+    def _tdd(self, driver, bound):
         qts = models.qrw_qts(3, 0.2)
         return reachable_space(qts, method="basic",
                                initial=qts.named_subspace("start"),
                                direction="backward", bound=bound,
-                               frontier=frontier)
+                               driver=driver)
 
-    def _dense(self, frontier, bound):
+    def _dense(self, bound):
         qts = models.qrw_qts(3, 0.2)
         return DenseStatevectorBackend().reachable(
             qts, initial=qts.named_subspace("start"),
-            direction="backward", bound=bound, frontier=frontier)
+            direction="backward", bound=bound)
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_tdd_frontier_backward_bounded_matches_full(self, bound):
-        full = self._tdd(frontier=False, bound=bound)
-        fast = self._tdd(frontier=True, bound=bound)
+        full = self._tdd("sequential", bound=bound)
+        fast = self._tdd("frontier", bound=bound)
+        assert full.stats.extra["driver"] == "sequential"
+        assert "driver" not in fast.stats.extra  # the default, frontier
         assert fast.dimensions == full.dimensions
         assert fast.bound == bound
         assert fast.iterations <= bound
@@ -78,29 +82,31 @@ class TestFrontierBackwardBounded:
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_dense_frontier_backward_bounded_matches_tdd(self, bound):
-        symbolic = self._tdd(frontier=True, bound=bound)
-        dense = self._dense(frontier=True, bound=bound)
+        symbolic = self._tdd("frontier", bound=bound)
+        dense = self._dense(bound=bound)
         assert dense.dimensions == symbolic.dimensions
         assert dense.converged == symbolic.converged
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     def test_both_backends_frontier_backward_unbounded(self):
-        symbolic = self._tdd(frontier=True, bound=0)
-        dense = self._dense(frontier=True, bound=0)
+        symbolic = self._tdd("frontier", bound=0)
+        dense = self._dense(bound=0)
         assert symbolic.converged and dense.converged
         assert dense.dimensions == symbolic.dimensions
         assert subspace_to_dense(dense.subspace).equals(
             subspace_to_dense(symbolic.subspace))
 
     @pytest.mark.parametrize("backend_config", [
-        CheckerConfig(method="basic", direction="backward", bound=2),
-        CheckerConfig(backend="dense", direction="backward", bound=2),
+        CheckerConfig(method="basic", direction="backward", bound=2,
+                      driver="frontier"),
+        CheckerConfig(backend="dense", direction="backward", bound=2,
+                      driver="frontier"),
     ])
     def test_check_frontier_backward_bounded_verdicts_agree(
             self, backend_config):
         result = ModelChecker(models.grover_qts(3), backend_config).check(
-            "AG plus", frontier=True)
+            "AG plus")
         assert result.verdict == "violated"
         assert result.direction == "backward"
         assert result.bound == 2

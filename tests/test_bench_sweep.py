@@ -9,7 +9,7 @@ from repro.bench.runner import BenchRow
 from repro.bench.sweep import (CSV_COLUMNS, RunSpec, SweepSpec,
                                execute_run, format_records, run_sweep)
 from repro.bench import table1, table2
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.mc.config import CheckerConfig
 from repro.mc.drivers import DEFAULT_DRIVER
 
@@ -27,20 +27,24 @@ class TestRunSpec:
         assert spec.run_id == "ghz4/contraction/tdd/monolithic"
 
     def test_run_id_includes_params(self):
-        spec = RunSpec(model="grover", size=5, method="contraction",
-                       method_params={"k1": 2, "k2": 3},
+        spec = RunSpec(model="grover", size=5,
+                       config=CheckerConfig(
+                           method="contraction",
+                           method_params={"k1": 2, "k2": 3}),
                        model_params={"iterations": 2})
         assert spec.run_id == ("grover5/contraction/tdd/monolithic/"
                                "k1=2,k2=3/iterations=2")
 
     def test_run_id_distinguishes_strategies(self):
         mono = RunSpec(model="ghz", size=3)
-        sliced = RunSpec(model="ghz", size=3, strategy="sliced", jobs=4)
+        sliced = RunSpec(model="ghz", size=3,
+                         config=CheckerConfig(strategy="sliced", jobs=4))
         assert mono.run_id != sliced.run_id
 
     def test_dict_round_trip(self):
-        spec = RunSpec(model="qrw", size=5, method="addition",
-                       method_params={"k": 2},
+        spec = RunSpec(model="qrw", size=5,
+                       config=CheckerConfig(method="addition",
+                                            method_params={"k": 2}),
                        model_params={"steps": 2})
         assert RunSpec.from_dict(spec.as_dict()) == spec
 
@@ -48,9 +52,12 @@ class TestRunSpec:
         ("model", "nonsense"), ("method", "nonsense"),
         ("backend", "nonsense"), ("strategy", "nonsense")])
     def test_validation(self, field, value):
-        kwargs = {"model": "ghz", "size": 3, field: value}
         with pytest.raises(ReproError):
-            RunSpec(**kwargs)
+            if field == "model":
+                RunSpec(model=value, size=3)
+            else:
+                RunSpec(model="ghz", size=3,
+                        config=CheckerConfig(**{field: value}))
 
 
 class TestRunSpecConfigForm:
@@ -63,12 +70,8 @@ class TestRunSpecConfigForm:
         assert spec.method == "basic"
         assert spec.run_id == "ghz4/basic/tdd/monolithic"
 
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            RunSpec(model="ghz", size=4, method="basic")
-
     def test_config_plus_legacy_rejected(self):
-        with pytest.raises(ReproError, match="not both"):
+        with pytest.raises(TypeError, match="method"):
             RunSpec(model="ghz", size=4, config=CheckerConfig(),
                     method="basic")
 
@@ -91,15 +94,14 @@ class TestRunSpecConfigForm:
         assert run.run_id.endswith("check[AG inv]")
         assert RunSpec.from_dict(run.as_dict()) == run
 
-    def test_from_dict_accepts_legacy_flat_schema(self):
-        # the pre-config artifact/spec-file schema still parses
-        run = RunSpec.from_dict({
-            "model": "ghz", "size": 4, "method": "basic",
-            "backend": "tdd", "strategy": "monolithic", "jobs": 1,
-            "slice_depth": 2, "method_params": {}, "model_params": {},
-            "label": "ghz4"})
-        assert run.method == "basic"
-        assert run.run_id == "ghz4/basic/tdd/monolithic"
+    def test_from_dict_rejects_flat_schema(self):
+        # the pre-config artifact/spec-file schema names the fix
+        with pytest.raises(ConfigError, match='"config"'):
+            RunSpec.from_dict({
+                "model": "ghz", "size": 4, "method": "basic",
+                "backend": "tdd", "strategy": "monolithic", "jobs": 1,
+                "slice_depth": 2, "method_params": {}, "model_params": {},
+                "label": "ghz4"})
 
 
 class TestSweepSpec:
@@ -120,7 +122,8 @@ class TestSweepSpec:
     def test_from_dict_explicit_runs(self):
         spec = SweepSpec.from_dict({
             "name": "mine",
-            "runs": [{"model": "ghz", "size": 3, "method": "basic"}]})
+            "runs": [{"model": "ghz", "size": 3,
+                      "config": {"method": "basic"}}]})
         assert spec.runs[0].model == "ghz"
 
     def test_from_dict_missing_axes(self):
@@ -161,7 +164,8 @@ class TestSweepSpec:
 
 class TestExecuteRun:
     def test_record_schema(self):
-        record = execute_run(RunSpec(model="ghz", size=3, method="basic"))
+        record = execute_run(RunSpec(model="ghz", size=3,
+                                     config=CheckerConfig(method="basic")))
         assert set(CSV_COLUMNS) <= set(record)
         assert record["dimension"] == 1
         assert record["seconds"] > 0
@@ -169,7 +173,8 @@ class TestExecuteRun:
 
     def test_sliced_strategy_record(self):
         record = execute_run(RunSpec(model="qrw", size=4,
-                                     method="basic", strategy="sliced",
+                                     config=CheckerConfig(
+                                         method="basic", strategy="sliced"),
                                      model_params={"steps": 2}))
         assert record["slices"] > 0
 
@@ -177,7 +182,7 @@ class TestExecuteRun:
         # the dense backend refuses large systems — a failed cell must
         # produce a record, not sink the sweep
         record = execute_run(RunSpec(model="ghz", size=20,
-                                     method="basic", backend="dense"))
+                                     config=CheckerConfig(backend="dense")))
         assert record["failed"]
         assert "ReproError" in record["error"]
 
@@ -221,7 +226,7 @@ class TestExecuteRun:
 
     def test_image_record_has_default_trace_columns(self):
         record = execute_run(RunSpec(model="ghz", size=3,
-                                     method="basic"))
+                                     config=CheckerConfig(method="basic")))
         assert record["direction"] == "forward"
         assert record["bound"] == 0
         assert record["trace_length"] == 0
@@ -297,8 +302,8 @@ class TestRunSweep:
     def test_resume_retries_failed_runs(self, tmp_path):
         # a dense run over the size guard fails; the failure must be
         # recorded but retried (not resumed) on the next invocation
-        bad = RunSpec(model="ghz", size=20, method="basic",
-                      backend="dense")
+        bad = RunSpec(model="ghz", size=20,
+                      config=CheckerConfig(backend="dense"))
         spec = SweepSpec(name="redo", runs=[bad])
         first = run_sweep(spec, out_dir=str(tmp_path))
         assert first.records[0]["failed"]
@@ -382,12 +387,12 @@ class TestDriverAxisAndWarmStart:
     def test_driver_axis_crosses_check_rows(self):
         spec = SweepSpec.from_axes(
             "d", ["grover"], [3], methods=("basic",),
-            drivers=("sequential", "opsharded", "frontier"),
+            drivers=("sequential", "frontier"),
             specs=("AG inv",))
-        assert len(spec.runs) == 3
+        assert len(spec.runs) == 2
         assert {run.driver for run in spec.runs} == \
-            {"sequential", "opsharded", "frontier"}
-        assert any("driver=opsharded" in run.run_id for run in spec.runs)
+            {"sequential", "frontier"}
+        assert any("driver=sequential" in run.run_id for run in spec.runs)
 
     def test_default_driver_keeps_run_id_format(self):
         # legacy artifacts must still resume
@@ -400,16 +405,16 @@ class TestDriverAxisAndWarmStart:
         # would only duplicate the measurement
         spec = SweepSpec.from_axes(
             "d", ["ghz"], [3], methods=("basic",),
-            drivers=("sequential", "opsharded", "frontier"))
+            drivers=("sequential", "frontier"))
         assert len(spec.runs) == 1
         assert spec.runs[0].driver == DEFAULT_DRIVER == "frontier"
 
     def test_execute_run_records_driver_and_cache_columns(self):
         record = execute_run(RunSpec(
             model="grover", size=3,
-            config=CheckerConfig(method="basic", driver="opsharded"),
+            config=CheckerConfig(method="basic", driver="sequential"),
             spec="AG inv"))
-        assert record["driver"] == "opsharded"
+        assert record["driver"] == "sequential"
         assert record["cache_warm"] is False
         assert record["verdict"] == "holds"
 
@@ -534,7 +539,8 @@ class TestResultStoreSweep:
 
 class TestBenchRowAdapter:
     def test_from_record(self):
-        record = execute_run(RunSpec(model="ghz", size=3, method="basic",
+        record = execute_run(RunSpec(model="ghz", size=3,
+                                     config=CheckerConfig(method="basic"),
                                      label="GHZ3"))
         row = BenchRow.from_record(record)
         assert row.benchmark == "GHZ3"

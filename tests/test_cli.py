@@ -27,10 +27,6 @@ class TestReach:
         out = capsys.readouterr().out
         assert "converged  = True" in out
 
-    def test_frontier_flag(self, capsys):
-        assert main(["reach", "qrw", "--size", "3", "--frontier"]) == 0
-        assert "frontier=True" in capsys.readouterr().out
-
     def test_join_line(self, capsys):
         # three Kraus images of S0 = span{|0...0>}: one grows the space,
         # the other two are already inside it
@@ -85,20 +81,22 @@ class TestCheck:
                      "--spec", "AG inv", "--strategy", "sliced"]) == 0
 
     def test_all_drivers_agree(self, capsys):
-        for driver in ("sequential", "opsharded", "frontier"):
+        for driver in ("sequential", "frontier"):
             assert main(["check", "grover", "--size", "3",
                          "--spec", "AG inv", "--driver", driver]) == 0
         out = capsys.readouterr().out
-        assert "driver=opsharded" in out   # non-default drivers echoed
+        assert "driver=sequential" in out   # non-default drivers echoed
 
     def test_driver_on_dense_backend(self, capsys):
         assert main(["check", "grover", "--size", "3", "--spec", "AG inv",
-                     "--backend", "dense", "--driver", "opsharded"]) == 0
+                     "--backend", "dense", "--driver", "sequential"]) == 0
 
-    def test_frontier_flag_with_conflicting_driver_errors(self, capsys):
-        assert main(["reach", "qrw", "--size", "3", "--frontier",
-                     "--driver", "opsharded"]) == 2
-        assert "frontier" in capsys.readouterr().err
+    def test_frontier_flag_is_rejected(self, capsys):
+        # --driver frontier is the one spelling of the schedule
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reach", "qrw", "--size", "3", "--frontier"])
+        assert excinfo.value.code == 2
+        assert "--frontier" in capsys.readouterr().err
 
     def test_unknown_atom_reports_available(self, capsys):
         assert main(["check", "grover", "--size", "3",

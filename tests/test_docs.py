@@ -13,7 +13,7 @@ import pytest
 from repro.cli import main
 from repro.image.engine import METHODS
 from repro.image.sliced import STRATEGIES
-from repro.mc.backends import BACKENDS
+from repro.mc.config import BACKENDS
 from repro.systems import models
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -71,8 +71,7 @@ class TestCliReferenceInSync:
 
     def test_reach_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["reach", "--help"])
-        for flag in ("--frontier", "--direction", "--bound", "--driver",
-                     "--store"):
+        for flag in ("--direction", "--bound", "--driver", "--store"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
