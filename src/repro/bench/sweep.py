@@ -33,7 +33,7 @@ import json
 import os
 import sys
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence)
 
@@ -61,9 +61,8 @@ CSV_COLUMNS = (
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
-#: the engine fields of the flat run schema that predates CheckerConfig
-_FLAT_FIELDS = ("method", "backend", "strategy", "jobs", "slice_depth",
-                "method_params")
+#: the engine fields, which a run dict nests under "config"
+_CONFIG_FIELDS = frozenset(f.name for f in fields(CheckerConfig))
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +178,7 @@ class RunSpec:
         ``"config"`` form.
         """
         data = dict(data)
-        flat = sorted(name for name in _FLAT_FIELDS if name in data)
+        flat = sorted(name for name in _CONFIG_FIELDS if name in data)
         if flat:
             raise ConfigError(f"run fields {flat} belong under "
                               f"\"config\": nest them as "
@@ -231,8 +230,8 @@ class SweepSpec:
         ``directions``/``bounds`` cross the grid with backward
         (preimage) analysis and depth-limited fixpoints; ``drivers``
         with the fixpoint schedules of :mod:`repro.mc.drivers`.  The
-        dense backend ignores methods and strategies, so crossing it
-        with those axes would duplicate work — duplicate
+        dense backend ignores methods, strategies and drivers, so
+        crossing it with those axes would duplicate work — duplicate
         configurations are dropped (by ``run_id``).
         """
         method_params = method_params or {}
@@ -251,9 +250,10 @@ class SweepSpec:
                 bound = 0
                 driver = DEFAULT_DRIVER
             if backend == "dense":
+                # one definitional round under every driver: the
+                # default tag stands for all of them
                 config = CheckerConfig(backend="dense",
-                                       direction=direction, bound=bound,
-                                       driver=driver)
+                                       direction=direction, bound=bound)
             else:
                 sliced = strategy == "sliced"
                 config = CheckerConfig(

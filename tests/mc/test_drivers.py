@@ -8,7 +8,8 @@ from repro.mc.backends import DenseStatevectorBackend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.drivers import (DEFAULT_DRIVER, DRIVERS, FrontierDriver,
-                              SequentialDriver, make_driver)
+                              OpShardedDriver, SequentialDriver,
+                              make_driver)
 from repro.mc.reachability import (ReachabilityCache, reachable_space,
                                    subspace_fingerprint,
                                    system_fingerprint)
@@ -57,6 +58,15 @@ class TestDriverRegistry:
         driver = make_driver(name)
         assert isinstance(driver, cls)
         assert driver.name == name
+
+    def test_retired_opsharded_name_is_not_selectable(self):
+        # the class name survives only as a benchmark trace target
+        assert "opsharded" not in DRIVERS
+        assert OpShardedDriver.advance is SequentialDriver.advance
+        with pytest.raises(ReproError, match="unknown driver"):
+            make_driver("opsharded")
+        with pytest.raises(ConfigError, match="unknown driver"):
+            CheckerConfig(driver="opsharded")
 
     def test_unknown_driver_rejected(self):
         with pytest.raises(ReproError, match="unknown driver"):
@@ -117,7 +127,9 @@ class TestDriverEquality:
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_dense_backend_honours_driver(self, driver):
-        symbolic = reachable_space(models.qrw_qts(3, 0.2), method="basic")
+        # each tdd schedule reproduces the dense definitional ladder
+        symbolic = reachable_space(models.qrw_qts(3, 0.2), method="basic",
+                                   driver=driver)
         dense = DenseStatevectorBackend().reachable(
             models.qrw_qts(3, 0.2), driver=driver)
         assert dense.dimensions == symbolic.dimensions

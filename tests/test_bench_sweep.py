@@ -103,6 +103,16 @@ class TestRunSpecConfigForm:
                 "slice_depth": 2, "method_params": {}, "model_params": {},
                 "label": "ghz4"})
 
+    @pytest.mark.parametrize("field", ["driver", "direction", "bound",
+                                       "max_qubits"])
+    def test_from_dict_rejects_every_flat_engine_field(self, field):
+        # any CheckerConfig field at the top level names the fix,
+        # not just the fields of the pre-config schema
+        value = {"driver": "sequential", "direction": "backward",
+                 "bound": 2, "max_qubits": 8}[field]
+        with pytest.raises(ConfigError, match='"config"'):
+            RunSpec.from_dict({"model": "ghz", "size": 4, field: value})
+
 
 class TestSweepSpec:
     def test_axes_product(self):
@@ -408,6 +418,19 @@ class TestDriverAxisAndWarmStart:
             drivers=("sequential", "frontier"))
         assert len(spec.runs) == 1
         assert spec.runs[0].driver == DEFAULT_DRIVER == "frontier"
+
+    def test_drivers_collapse_for_dense_check_rows(self):
+        # the dense backend runs one definitional round under every
+        # driver: the driver axis would only duplicate its check rows
+        spec = SweepSpec.from_axes(
+            "d", ["grover"], [3], methods=("basic",),
+            backends=("tdd", "dense"),
+            drivers=("sequential", "frontier"), specs=("AG inv",))
+        dense = [run for run in spec.runs if run.backend == "dense"]
+        assert len(dense) == 1
+        assert dense[0].driver == DEFAULT_DRIVER
+        assert {run.driver for run in spec.runs
+                if run.backend == "tdd"} == {"sequential", "frontier"}
 
     def test_execute_run_records_driver_and_cache_columns(self):
         record = execute_run(RunSpec(
