@@ -13,8 +13,8 @@ The public API is organised around two first-class objects:
 
 * :class:`~repro.mc.config.CheckerConfig` — one validated, frozen,
   JSON-round-trippable description of the whole engine configuration
-  (backend, image method, execution strategy, worker pool, per-method
-  parameters), and
+  (backend, image method, per-method parameters, direction, bound,
+  fixpoint driver), and
 * temporal **specifications** — Birkhoff-von Neumann propositions over
   named subspaces with ``AG``/``EF`` on top, written as text
   (``"AG (inv & ~bad)"``) or as ASTs (:mod:`repro.mc.logic`), checked
@@ -41,10 +41,6 @@ Quickstart::
     assert dense.check(parse_spec("AG inv")).holds == result.holds
     assert checker.cross_validate(spec="AG inv").ok
 
-    # parallel sliced execution: contractions decompose into cofactor
-    # subproblems fanned out over a process pool (identical results)
-    parallel = ModelChecker(qts, CheckerConfig(strategy="sliced", jobs=4))
-
 ``CheckerConfig`` is the only engine spelling: ``ModelChecker``,
 ``make_backend`` and the sweep's ``RunSpec`` take one (or nothing, for
 the defaults) and reject loose engine keywords.  ``config.driver``
@@ -57,8 +53,7 @@ from repro.gates.gate import Gate
 from repro.gates import library as gates
 from repro.image import (AdditionImageComputer, BasicImageComputer,
                          ContractionImageComputer, ImageEngine, ImageResult,
-                         MonolithicExecutor, SlicedExecutor, compute_image,
-                         make_computer)
+                         compute_image, make_computer)
 from repro.indices.index import Index, wire
 from repro.indices.order import IndexOrder
 from repro.mc.backends import (Backend, DenseStatevectorBackend, TDDBackend,
@@ -86,8 +81,7 @@ __all__ = [
     "QuantumCircuit", "Gate", "gates",
     "AdditionImageComputer", "BasicImageComputer",
     "ContractionImageComputer", "ImageEngine", "ImageResult",
-    "MonolithicExecutor", "SlicedExecutor", "compute_image",
-    "make_computer",
+    "compute_image", "make_computer",
     "Index", "wire", "IndexOrder",
     "Backend", "DenseStatevectorBackend", "TDDBackend",
     "cross_validate", "make_backend",

@@ -6,15 +6,7 @@ I columns plus the kernel instrumentation — cache hit rate and the
 post-GC/peak live-node population.  CI runs this to catch perf or
 instrumentation regressions without paying for the full Table I grid.
 
-``--strategy sliced [--jobs N]`` runs every method through the sliced
-execution strategy (parallel cofactor contraction, see
-:mod:`repro.image.sliced`) and appends the *QRW stress case*: the
-noisy-walk reachability workload contraction-for-contraction under the
-sequential monolithic strategy and again under the requested sliced
-configuration, printing both wall clocks and the speedup.
-
-Run:  ``python -m repro.bench.smoke [--model grover] [--size 6]
-[--strategy sliced --jobs 4]``
+Run:  ``python -m repro.bench.smoke [--model grover] [--size 6]``
 """
 
 from __future__ import annotations
@@ -24,9 +16,7 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.runner import run_image_benchmark
-from repro.mc.reachability import reachable_space
 from repro.systems import models
-
 from repro.utils.tables import format_table
 
 #: method name -> image parameters (Table I settings + the hybrid row)
@@ -45,35 +35,12 @@ _BUILDERS: Dict[str, Callable[[int], object]] = {
     "qrw": lambda n: models.qrw_qts(n, 0.1, steps=2),
 }
 
-#: the QRW stress case: a noisy-walk reachability fixpoint whose
-#: accumulated subspace makes the per-iteration image contractions the
-#: dominant cost (dimensions grow 1 -> 15+)
-STRESS_MODEL = ("qrw", 6, {"noise_probability": 0.1, "steps": 2})
-STRESS_ITERATIONS = 6
-
-
-def smoke_rows(model: str = "grover", size: int = 6,
-               strategy: str = "monolithic",
-               jobs: Optional[int] = None) -> List:
+def smoke_rows(model: str = "grover", size: int = 6) -> List:
     builder = _BUILDERS[model]
     label = f"{model}{size}"
     return [run_image_benchmark(lambda: builder(size), label, method,
-                                strategy=strategy, jobs=jobs, **params)
+                                **params)
             for method, params in SMOKE_METHODS.items()]
-
-
-def stress_times(strategy: str = "sliced",
-                 jobs: Optional[int] = None) -> Dict[str, float]:
-    """Sequential-vs-strategy wall clocks on the QRW stress case."""
-    name, size, params = STRESS_MODEL
-    out: Dict[str, float] = {}
-    for label, kwargs in (("monolithic", {}),
-                          (strategy, {"strategy": strategy, "jobs": jobs})):
-        qts = models.build_model(name, size, **params)
-        trace = reachable_space(qts, "basic",
-                                max_iterations=STRESS_ITERATIONS, **kwargs)
-        out[label] = trace.stats.seconds
-    return out
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -81,13 +48,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--model", default="grover",
                         choices=sorted(_BUILDERS))
     parser.add_argument("--size", type=int, default=6)
-    parser.add_argument("--strategy", default="monolithic",
-                        choices=["monolithic", "sliced"])
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="sliced-strategy worker pool width")
     args = parser.parse_args(argv)
-    rows = smoke_rows(args.model, args.size, strategy=args.strategy,
-                      jobs=args.jobs)
+    rows = smoke_rows(args.model, args.size)
     headers = ["Benchmark", "method", "time [s]", "max#node", "dim",
                "cache hit%", "live/peak nodes"]
     table = [[row.benchmark, row.method, f"{row.seconds:.2f}",
@@ -95,24 +57,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               row.hit_rate_percent,
               f"{row.live_nodes}/{row.peak_live_nodes}"]
              for row in rows]
-    print(f"Smoke benchmark — one Table-1 row per method "
-          f"(strategy={args.strategy})")
+    print("Smoke benchmark — one Table-1 row per method")
     print(format_table(headers, table))
     # all four methods must compute the same image dimension
     dims = {row.dimension for row in rows}
     if len(dims) != 1:
         print(f"FAIL: methods disagree on image dimension: {dims}")
         return 1
-    if args.strategy != "monolithic":
-        name, size, _params = STRESS_MODEL
-        times = stress_times(args.strategy, args.jobs)
-        speedup = times["monolithic"] / max(times[args.strategy], 1e-9)
-        print(f"QRW stress case ({name}{size} reachability, "
-              f"{STRESS_ITERATIONS} iterations):")
-        print(f"  monolithic      = {times['monolithic']:.2f} s")
-        print(f"  {args.strategy} jobs={args.jobs or 1}  "
-              f"= {times[args.strategy]:.2f} s  "
-              f"({speedup:.2f}x vs sequential)")
     return 0
 
 

@@ -38,7 +38,6 @@ from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence)
 
 from repro.errors import ConfigError, ReproError
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.checker import ModelChecker
 from repro.mc.config import CheckerConfig
 from repro.mc.drivers import DEFAULT_DRIVER
@@ -49,20 +48,36 @@ from repro.utils.tables import format_table
 
 #: the flat column schema of the CSV artifact (and of every record)
 CSV_COLUMNS = (
-    "run_id", "label", "model", "size", "method", "backend", "strategy",
-    "jobs", "slice_depth", "driver", "direction", "bound", "spec",
+    "run_id", "label", "model", "size", "method", "backend",
+    "driver", "direction", "bound", "spec",
     "verdict", "witness_dimension", "trace_length", "trace_valid",
     "iterations", "converged", "cache_warm", "store_hit", "dimension",
     "seconds",
     "max_nodes", "contractions", "additions", "cache_hits",
     "cache_misses", "cache_hit_rate", "add_hit_rate", "cont_hit_rate",
-    "cache_evictions", "slices",
-    "parallel_tasks", "pool_fallbacks", "gc_runs", "nodes_reclaimed",
+    "cache_evictions", "gc_runs", "nodes_reclaimed",
     "peak_live_nodes", "live_nodes", "failed", "error",
 )
 
 #: the engine fields, which a run dict nests under "config"
 _CONFIG_FIELDS = frozenset(f.name for f in fields(CheckerConfig))
+
+#: the keys of a run dict (:meth:`RunSpec.as_dict`)
+_RUN_KEYS = frozenset({"model", "size", "config", "spec", "model_params",
+                       "label"})
+
+#: the axis keys of a sweep spec dict (:meth:`SweepSpec.from_dict`)
+_AXIS_KEYS = frozenset({"models", "sizes", "methods", "backends", "specs",
+                        "directions", "bounds", "drivers", "method_params",
+                        "model_params"})
+
+
+def _reject_unknown(what: str, data: Mapping, known) -> None:
+    """Raise :class:`ConfigError` naming every key outside ``known``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; "
+                          f"known: {sorted(known)}")
 
 
 # ----------------------------------------------------------------------
@@ -104,18 +119,6 @@ class RunSpec:
         return self.config.backend
 
     @property
-    def strategy(self) -> str:
-        return self.config.strategy
-
-    @property
-    def jobs(self) -> int:
-        return self.config.jobs or 1
-
-    @property
-    def slice_depth(self) -> int:
-        return self.config.slice_depth
-
-    @property
     def method_params(self) -> dict:
         return dict(self.config.method_params)
 
@@ -134,20 +137,10 @@ class RunSpec:
     # ------------------------------------------------------------------
     @property
     def run_id(self) -> str:
-        """Deterministic identity of this configuration (resume key).
-
-        Kept format-compatible with pre-config artifacts so existing
-        sweeps resume across the API change.  (Exception: dense rows —
-        their configs no longer carry the method/strategy knobs the
-        dense backend never honoured, so legacy dense cells recompute
-        once instead of resuming.)
-        """
+        """Deterministic identity of this configuration (resume key)."""
         def fmt(params: dict) -> str:
             return ",".join(f"{k}={params[k]}" for k in sorted(params))
-        parts = [f"{self.model}{self.size}", self.method, self.backend,
-                 self.strategy]
-        if self.strategy != "monolithic":
-            parts.append(f"jobs={self.jobs},depth={self.slice_depth}")
+        parts = [f"{self.model}{self.size}", self.method, self.backend]
         if self.driver != DEFAULT_DRIVER:
             parts.append(f"driver={self.driver}")
         if self.direction != "forward":
@@ -174,8 +167,8 @@ class RunSpec:
         """Parse the :meth:`as_dict` form.
 
         The flat pre-config schema (``{"model": ..., "method": ...,
-        "jobs": 1, ...}``) is rejected with a pointer to the nested
-        ``"config"`` form.
+        ...}``) is rejected with a pointer to the nested ``"config"``
+        form; any other unknown key raises :class:`ConfigError` too.
         """
         data = dict(data)
         flat = sorted(name for name in _CONFIG_FIELDS if name in data)
@@ -183,6 +176,7 @@ class RunSpec:
             raise ConfigError(f"run fields {flat} belong under "
                               f"\"config\": nest them as "
                               f"{{\"config\": {{...}}}}")
+        _reject_unknown("run", data, _RUN_KEYS)
         if "config" in data:
             data["config"] = CheckerConfig.from_dict(data["config"])
         return cls(**data)
@@ -212,13 +206,10 @@ class SweepSpec:
                   sizes: Sequence[int],
                   methods: Sequence[str] = ("contraction",),
                   backends: Sequence[str] = ("tdd",),
-                  strategies: Sequence[str] = ("monolithic",),
                   specs: Sequence[Optional[str]] = (None,),
                   directions: Sequence[str] = ("forward",),
                   bounds: Sequence[int] = (0,),
                   drivers: Sequence[str] = (DEFAULT_DRIVER,),
-                  jobs_per_run: int = 1,
-                  slice_depth: int = DEFAULT_SLICE_DEPTH,
                   method_params: Optional[Dict[str, dict]] = None,
                   model_params: Optional[dict] = None) -> "SweepSpec":
         """The cartesian product of the given axes.
@@ -230,7 +221,7 @@ class SweepSpec:
         ``directions``/``bounds`` cross the grid with backward
         (preimage) analysis and depth-limited fixpoints; ``drivers``
         with the fixpoint schedules of :mod:`repro.mc.drivers`.  The
-        dense backend ignores methods, strategies and drivers, so
+        dense backend ignores methods and drivers, so
         crossing it with those axes would duplicate work — duplicate
         configurations are dropped (by ``run_id``).
         """
@@ -238,9 +229,8 @@ class SweepSpec:
         runs: List[RunSpec] = []
         seen = set()
         cells = itertools.product(model_names, sizes, specs, backends,
-                                  methods, strategies, directions, bounds,
-                                  drivers)
-        for (model, size, spec_text, backend, method, strategy,
+                                  methods, directions, bounds, drivers)
+        for (model, size, spec_text, backend, method,
              direction, bound, driver) in cells:
             if spec_text is None:
                 # a plain image benchmark is a single step — a fixpoint
@@ -255,13 +245,8 @@ class SweepSpec:
                 config = CheckerConfig(backend="dense",
                                        direction=direction, bound=bound)
             else:
-                sliced = strategy == "sliced"
                 config = CheckerConfig(
-                    method=method, strategy=strategy,
-                    jobs=(jobs_per_run if sliced and jobs_per_run > 1
-                          else None),
-                    slice_depth=(slice_depth if sliced
-                                 else DEFAULT_SLICE_DEPTH),
+                    method=method,
                     method_params=dict(method_params.get(method, {})),
                     direction=direction, bound=bound, driver=driver)
             run = RunSpec(model=model, size=size, config=config,
@@ -285,14 +270,19 @@ class SweepSpec:
         or axes to take the product of::
 
             {"name": "tiny", "models": ["ghz", "bv"], "sizes": [3, 4],
-             "methods": ["basic"], "strategies": ["monolithic", "sliced"],
-             "specs": ["AG init"],
+             "methods": ["basic"], "specs": ["AG init"],
              "method_params": {"contraction": {"k1": 4, "k2": 4}}}
+
+        An unknown key, or a ``runs`` list next to axis keys, raises
+        :class:`ConfigError` instead of being dropped.
         """
         name = data.get("name", "sweep")
         if "runs" in data:
+            _reject_unknown("sweep spec (with 'runs')", data,
+                            {"name", "runs"})
             return cls(name=name,
                        runs=[RunSpec.from_dict(r) for r in data["runs"]])
+        _reject_unknown("sweep spec", data, _AXIS_KEYS | {"name"})
         try:
             model_names = data["models"]
             sizes = data["sizes"]
@@ -303,13 +293,10 @@ class SweepSpec:
             name, model_names, sizes,
             methods=data.get("methods", ("contraction",)),
             backends=data.get("backends", ("tdd",)),
-            strategies=data.get("strategies", ("monolithic",)),
             specs=data.get("specs", (None,)),
             directions=data.get("directions", ("forward",)),
             bounds=data.get("bounds", (0,)),
             drivers=data.get("drivers", (DEFAULT_DRIVER,)),
-            jobs_per_run=data.get("jobs_per_run", 1),
-            slice_depth=data.get("slice_depth", DEFAULT_SLICE_DEPTH),
             method_params=data.get("method_params"),
             model_params=data.get("model_params"))
 
@@ -339,7 +326,7 @@ def execute_run(spec: RunSpec,
     ``reach_cache`` warm-starts the reachability fixpoint behind
     property-check rows: the reachable subspace depends only on the
     transition relation, the fixpoint seed, the direction and the
-    bound — not on the image method, execution strategy or driver — so
+    bound — not on the image method or driver — so
     a sweep crossing those axes pays the iteration ladder once per
     (model, size, spec, direction) cell and replays it from the cache
     for every other configuration.  Warm rows carry
@@ -350,8 +337,7 @@ def execute_run(spec: RunSpec,
     """
     record = {"model": spec.model, "size": spec.size,
               "method": spec.method, "backend": spec.backend,
-              "strategy": spec.strategy, "jobs": spec.jobs,
-              "slice_depth": spec.slice_depth, "label": spec.label,
+              "label": spec.label,
               "driver": spec.driver, "direction": spec.direction,
               "bound": spec.bound, "spec": spec.spec or "",
               "verdict": "", "cache_warm": False, "store_hit": False,
@@ -483,8 +469,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
     already present in it — a killed sweep continues where it stopped.
 
     ``warm_start=True`` (the default) shares reachability fixpoints
-    between property-check rows that differ only in image method,
-    execution strategy or driver (see
+    between property-check rows that differ only in image method or
+    driver (see
     :class:`~repro.mc.reachability.ReachabilityCache`); warm rows carry
     ``cache_warm=True``.  Pass ``warm_start=False`` (CLI:
     ``--no-warm-start``) when the sweep's purpose is to *benchmark* the
@@ -544,8 +530,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
                     record_done(future.result())
     else:
         # one warm-start cache per sweep — or, with store_dir, the
-        # persistent store: runs differing only in method/strategy/
-        # driver reuse each other's fixpoints, and with the store they
+        # persistent store: runs differing only in method or driver
+        # reuse each other's fixpoints, and with the store they
         # also reuse every previous invocation's
         reach_cache = close_me = None
         if warm_start and store_dir is not None:
@@ -571,20 +557,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
 # ----------------------------------------------------------------------
 def format_records(records: Sequence[dict]) -> str:
     headers = ["run", "dim", "verdict", "time [s]", "max#node",
-               "cache hit%", "live/peak", "slices"]
+               "cache hit%", "live/peak"]
     rows = []
     for record in records:
         if record.get("failed"):
-            rows.append([record["run_id"], "-", "-", "-", "-", "-", "-",
-                         "-"])
+            rows.append([record["run_id"], "-", "-", "-", "-", "-", "-"])
             continue
         rows.append([
             record["run_id"], str(record["dimension"]),
             record.get("verdict") or "-",
             f"{record['seconds']:.2f}", str(record["max_nodes"]),
             f"{100 * record['cache_hit_rate']:.0f}%",
-            f"{record['live_nodes']}/{record['peak_live_nodes']}",
-            str(record["slices"])])
+            f"{record['live_nodes']}/{record['peak_live_nodes']}"])
     return format_table(headers, rows)
 
 
@@ -601,7 +585,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro sweep",
         description="Batch experiment runner: fan a declarative sweep "
                     "spec (models x sizes x methods x backends x "
-                    "strategies x property specs) over a process pool "
+                    "property specs) over a process pool "
                     "with resumable JSON/CSV artifacts.")
     parser.add_argument("--spec", help="JSON sweep spec file (see "
                                        "SweepSpec.from_dict)")
@@ -614,8 +598,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--methods", type=_csv_names,
                         default=["contraction"])
     parser.add_argument("--backends", type=_csv_names, default=["tdd"])
-    parser.add_argument("--strategies", type=_csv_names,
-                        default=["monolithic"])
     parser.add_argument("--check", action="append", default=[],
                         dest="checks", metavar="SPEC",
                         help="property spec to check on every "
@@ -658,7 +640,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.models and args.sizes:
         spec = SweepSpec.from_axes(
             args.name, args.models, args.sizes, methods=args.methods,
-            backends=args.backends, strategies=args.strategies,
+            backends=args.backends,
             specs=(args.checks or [None]),
             directions=args.directions, bounds=args.bounds,
             drivers=args.drivers,

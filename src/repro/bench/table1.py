@@ -72,14 +72,12 @@ FAMILIES: Dict[str, FamilySpec] = {
 }
 
 
-def _cell_config(method: str, params: dict, strategy: str) -> CheckerConfig:
-    return CheckerConfig(method=method, strategy=strategy,
-                         method_params=dict(params))
+def _cell_config(method: str, params: dict) -> CheckerConfig:
+    return CheckerConfig(method=method, method_params=dict(params))
 
 
 def table1_spec(scale: str = "small",
-                families: Optional[List[str]] = None,
-                strategy: str = "monolithic") -> SweepSpec:
+                families: Optional[List[str]] = None) -> SweepSpec:
     """The Table I grid as a sweep spec (skipped cells excluded)."""
     runs: List[RunSpec] = []
     for family, ((model, model_params), size_map, skip) in FAMILIES.items():
@@ -91,7 +89,7 @@ def table1_spec(scale: str = "small",
                     continue
                 runs.append(RunSpec(
                     model=model, size=size,
-                    config=_cell_config(method, params, strategy),
+                    config=_cell_config(method, params),
                     model_params=dict(model_params),
                     label=f"{family}{size}"))
     return SweepSpec(name=f"table1-{scale}", runs=runs)
@@ -100,14 +98,13 @@ def table1_spec(scale: str = "small",
 def table1_rows(scale: str = "small",
                 families: Optional[List[str]] = None,
                 jobs: int = 1,
-                out_dir: Optional[str] = None,
-                strategy: str = "monolithic") -> List[BenchRow]:
+                out_dir: Optional[str] = None) -> List[BenchRow]:
     """Run the Table I grid and return one row per (family-size, method).
 
     Cells the skip rule excludes still appear (as timed-out dashes) so
     the printed table keeps the paper's layout.
     """
-    spec = table1_spec(scale, families, strategy)
+    spec = table1_spec(scale, families)
     result = run_sweep(spec, jobs=jobs, out_dir=out_dir)
     by_id = {record["run_id"]: record for record in result.records}
     rows: List[BenchRow] = []
@@ -122,7 +119,7 @@ def table1_rows(scale: str = "small",
                                          timed_out=True))
                     continue
                 run = RunSpec(model=model, size=size,
-                              config=_cell_config(method, params, strategy),
+                              config=_cell_config(method, params),
                               model_params=dict(model_params),
                               label=label)
                 rows.append(BenchRow.from_record(by_id[run.run_id]))

@@ -15,14 +15,9 @@ Four interchangeable algorithms (the *method* axis):
 * :class:`~repro.image.hybrid.HybridImageComputer` — addition slicing
   over contraction-partitioned blocks (extension beyond the paper).
 
-Orthogonal to the method, the execution *strategy*
-(:mod:`repro.image.sliced`) decides how the underlying contractions
-run: ``monolithic`` (sequential) or ``sliced`` (parallel cofactor
-decomposition over a process pool).
-
 Use :func:`~repro.image.engine.compute_image` for a one-shot entry
 point, or :class:`~repro.image.engine.ImageEngine` to hold the method
-computer and strategy pool across calls.
+computer (and its cached operators) across calls.
 """
 
 from repro.image.base import ImageResult
@@ -32,13 +27,10 @@ from repro.image.contraction import ContractionImageComputer
 from repro.image.hybrid import HybridImageComputer
 from repro.image.engine import (ImageEngine, compute_image,
                                 make_computer, METHODS)
-from repro.image.sliced import (MonolithicExecutor, SlicedExecutor,
-                                STRATEGIES, make_executor)
 
 __all__ = [
     "ImageResult", "BasicImageComputer", "AdditionImageComputer",
     "ContractionImageComputer", "HybridImageComputer",
     "ImageEngine", "compute_image", "make_computer",
     "METHODS",
-    "MonolithicExecutor", "SlicedExecutor", "STRATEGIES", "make_executor",
 ]

@@ -90,8 +90,7 @@ class AdditionImageComputer(ImageComputerBase):
         sum_over = input_sum_indices(inputs, outputs)
         total = None
         for part in parts:
-            contribution = self.executor.contract(state, part, sum_over,
-                                                  stats)
+            contribution = self.executor.contract(state, part, sum_over)
             stats.contractions += 1
             stats.observe_tdd(contribution)
             total = (contribution if total is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.image.sliced import MonolithicExecutor
 from repro.indices.index import Index
 from repro.subspace.subspace import StateSpace, Subspace
 from repro.systems.qts import QuantumTransitionSystem
@@ -56,11 +57,8 @@ def input_sum_indices(inputs: Sequence[Index],
 class ImageComputerBase:
     """Common state for the four algorithms: system + per-circuit caches.
 
-    Every computer routes its transition-relation contractions through
-    ``self.executor`` (monolithic in-process by default; the engine
-    swaps in a :class:`~repro.image.sliced.SlicedExecutor` when the
-    sliced strategy is selected), so parallel sliced execution composes
-    with each algorithm without touching its partitioning logic.
+    Every computer makes its transition-relation contractions through
+    ``self.executor.contract`` (see :mod:`repro.image.sliced`).
 
     Every basis state takes one contraction per Kraus circuit (a
     partition method may fold several partial contractions into that
@@ -70,9 +68,7 @@ class ImageComputerBase:
     method: str = "abstract"
 
     def __init__(self, qts: QuantumTransitionSystem) -> None:
-        from repro.image.sliced import MonolithicExecutor
         self.qts = qts
-        #: pluggable contraction executor (see :mod:`repro.image.sliced`)
         self.executor = MonolithicExecutor()
         #: peak nodes observed while building cached operator diagrams
         self.build_stats = StatsRecorder()

@@ -36,8 +36,14 @@ class BasicImageComputer(ImageComputerBase):
                          stats: StatsRecorder) -> Iterator[TDD]:
         operator, inputs, outputs = entry
         sum_over = input_sum_indices(inputs, outputs)
-        image_state = self.executor.contract(state, operator, sum_over,
-                                             stats)
+        image_state = self.executor.contract(state, operator, sum_over)
         stats.contractions += 1
         stats.observe_tdd(image_state)
         yield rename_outputs_to_kets(self.qts.space, image_state, outputs)
+
+    def apply(self, circuit: QuantumCircuit, state: TDD,
+              stats: StatsRecorder) -> TDD:
+        """The image of one ket state under one Kraus circuit."""
+        (image_state,) = self._operator_images(
+            state, self.operator_for(circuit, stats), stats)
+        return image_state

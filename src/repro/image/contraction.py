@@ -111,7 +111,6 @@ class ContractionImageComputer(ImageComputerBase):
             order = greedy_order(tensors, network.open_indices)
         image_state = network.contract_all(
             order=order, observer=stats.observe_tdd,
-            contract_fn=lambda a, b, s: self.executor.contract(
-                a, b, s, stats))
+            contract_fn=self.executor.contract)
         stats.contractions += len(block_tdds)
         yield rename_outputs_to_kets(self.qts.space, image_state, outputs)

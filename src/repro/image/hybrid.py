@@ -114,8 +114,7 @@ class HybridImageComputer(ImageComputerBase):
             network = TensorNetwork([state] + part_tdds, set(outputs))
             contribution = network.contract_all(
                 observer=stats.observe_tdd,
-                contract_fn=lambda a, b, s: self.executor.contract(
-                    a, b, s, stats))
+                contract_fn=self.executor.contract)
             stats.contractions += len(part_tdds)
             total = (contribution if total is None
                      else total + contribution)

@@ -109,8 +109,7 @@ class TDDBackend:
         cfg = self.config
         return reachable_space(
             qts, cfg.method, initial=initial,
-            max_iterations=max_iterations, strategy=cfg.strategy,
-            jobs=cfg.jobs, slice_depth=cfg.slice_depth,
+            max_iterations=max_iterations,
             direction=cfg.direction if direction is None else direction,
             bound=cfg.bound if bound is None else bound,
             driver=cfg.driver if driver is None else driver,
@@ -118,8 +117,7 @@ class TDDBackend:
             **cfg.method_params)
 
     def __repr__(self) -> str:
-        return (f"TDDBackend(method={self.config.method!r}, "
-                f"strategy={self.config.strategy!r})")
+        return f"TDDBackend(method={self.config.method!r})"
 
 
 class DenseStatevectorBackend:

@@ -1,13 +1,13 @@
 """Engine configuration as a first-class value: :class:`CheckerConfig`.
 
 Before this module existed, every layer re-spelled the same knobs —
-``backend`` / ``method`` / ``strategy`` / ``jobs`` / ``slice_depth``
-plus per-method parameters — as loose keyword arguments, and a knob
-that did not apply to the chosen backend was *silently dropped* (the
-old ``make_backend`` filtered them away).  ``CheckerConfig`` is the
+``backend`` / ``method`` plus per-method parameters — as loose
+keyword arguments, and a knob that did not apply to the chosen
+backend was *silently dropped* (the old ``make_backend`` filtered them
+away).  ``CheckerConfig`` is the
 single source of truth instead:
 
-* construction **validates**: unknown backends/methods/strategies,
+* construction **validates**: unknown backends/methods/drivers,
   method parameters that do not belong to the chosen method, and
   tdd-only options combined with the dense backend all raise a
   :class:`~repro.errors.ConfigError` up front;
@@ -35,7 +35,6 @@ from typing import Mapping, Optional
 
 from repro.errors import ConfigError
 from repro.image.engine import DIRECTIONS, METHODS
-from repro.image.sliced import DEFAULT_SLICE_DEPTH, STRATEGIES
 from repro.mc.drivers import DEFAULT_DRIVER, DRIVERS
 
 #: the available computation engines (the dense statevector reference
@@ -51,8 +50,7 @@ METHOD_PARAMS = {
 }
 
 #: settings that only the symbolic tdd backend interprets
-_TDD_ONLY_FIELDS = ("method", "strategy", "jobs", "slice_depth",
-                    "method_params")
+_TDD_ONLY_FIELDS = ("method", "method_params")
 
 #: CLI defaults for the per-method parameters (Table I values)
 _CLI_METHOD_DEFAULTS = {
@@ -69,8 +67,7 @@ class CheckerConfig:
 
     ``method_params`` are the image-method parameters (``k`` for
     addition, ``k1``/``k2``/``order_policy`` for contraction, all of
-    them for hybrid); ``jobs``/``slice_depth`` configure the sliced
-    execution strategy; ``max_qubits`` raises the dense backend's size
+    them for hybrid); ``max_qubits`` raises the dense backend's size
     guard.  ``direction`` selects forward (image) or backward
     (preimage, against the adjoint Kraus family) analysis and ``bound``
     depth-limits reachability fixpoints (0 = run to saturation);
@@ -83,9 +80,6 @@ class CheckerConfig:
 
     backend: str = "tdd"
     method: str = "contraction"
-    strategy: str = "monolithic"
-    jobs: Optional[int] = None
-    slice_depth: int = DEFAULT_SLICE_DEPTH
     method_params: Mapping[str, object] = field(default_factory=dict)
     max_qubits: Optional[int] = None
     direction: str = "forward"
@@ -108,9 +102,6 @@ class CheckerConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown image method {self.method!r}; "
                               f"choose from {METHODS}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}; "
-                              f"choose from {STRATEGIES}")
         if self.direction not in DIRECTIONS:
             raise ConfigError(f"unknown direction {self.direction!r}; "
                               f"choose from {DIRECTIONS}")
@@ -133,22 +124,6 @@ class CheckerConfig:
             raise ConfigError(
                 f"method {self.method!r} does not take {', '.join(hints)}; "
                 f"it accepts {sorted(allowed) if allowed else 'no parameters'}")
-        if self.jobs is not None:
-            if not isinstance(self.jobs, int) or self.jobs < 1:
-                raise ConfigError(f"jobs must be a positive integer, "
-                                  f"got {self.jobs!r}")
-            if self.strategy != "sliced":
-                raise ConfigError(
-                    f"jobs={self.jobs} only applies to the sliced "
-                    f"strategy; got strategy={self.strategy!r}")
-        if not isinstance(self.slice_depth, int) or self.slice_depth < 0:
-            raise ConfigError(f"slice_depth must be a non-negative "
-                              f"integer, got {self.slice_depth!r}")
-        if (self.slice_depth != DEFAULT_SLICE_DEPTH
-                and self.strategy != "sliced"):
-            raise ConfigError(
-                f"slice_depth={self.slice_depth} only applies to the "
-                f"sliced strategy; got strategy={self.strategy!r}")
         if self.backend == "dense":
             offending = [name for name in _TDD_ONLY_FIELDS
                          if getattr(self, name) != _DEFAULTS[name]]
@@ -180,9 +155,6 @@ class CheckerConfig:
         """
         backend = getattr(args, "backend", "tdd")
         method = getattr(args, "method", "contraction")
-        strategy = getattr(args, "strategy", "monolithic")
-        jobs = getattr(args, "jobs", None)
-        slice_depth = getattr(args, "slice_depth", DEFAULT_SLICE_DEPTH)
         direction = getattr(args, "direction", "forward")
         bound = getattr(args, "bound", 0)
         driver = getattr(args, "driver", DEFAULT_DRIVER)
@@ -198,12 +170,9 @@ class CheckerConfig:
                 method = "contraction"
                 method_params = {}
             return cls(backend="dense", method=method,
-                       strategy=strategy, jobs=jobs,
-                       slice_depth=slice_depth,
                        method_params=method_params,
                        direction=direction, bound=bound, driver=driver)
-        return cls(backend=backend, method=method, strategy=strategy,
-                   jobs=jobs, slice_depth=slice_depth,
+        return cls(backend=backend, method=method,
                    method_params=method_params,
                    direction=direction, bound=bound, driver=driver)
 
@@ -217,8 +186,6 @@ class CheckerConfig:
     def as_dict(self) -> dict:
         """A JSON-able dict; defaults are included for explicitness."""
         return {"backend": self.backend, "method": self.method,
-                "strategy": self.strategy, "jobs": self.jobs,
-                "slice_depth": self.slice_depth,
                 "method_params": dict(self.method_params),
                 "max_qubits": self.max_qubits,
                 "direction": self.direction, "bound": self.bound,
@@ -256,12 +223,6 @@ class CheckerConfig:
             parts.append(f"driver={self.driver}")
         if self.backend == "tdd":
             parts.append(f"method={self.method}")
-            if self.strategy != "monolithic":
-                parts.append(f"strategy={self.strategy}")
-                if self.jobs:
-                    parts.append(f"jobs={self.jobs}")
-                if self.slice_depth != DEFAULT_SLICE_DEPTH:
-                    parts.append(f"slice_depth={self.slice_depth}")
             for name in sorted(self.method_params):
                 parts.append(f"{name}={self.method_params[name]}")
         elif self.max_qubits is not None:

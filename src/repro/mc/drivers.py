@@ -1,8 +1,8 @@
 """Fixpoint drivers: the two schedules of ``S_{k+1} = S_k v T(S_k)``.
 
 The reachability fixpoint has two independent halves: the image
-*kernel* (how one ``T(S)`` is computed — method × execution strategy,
-see :mod:`repro.image`) and the fixpoint *schedule* (which states each
+*kernel* (how one ``T(S)`` is computed — the image method, see
+:mod:`repro.image`) and the fixpoint *schedule* (which states each
 round images).  A :class:`FixpointDriver` owns the schedule;
 :func:`~repro.mc.reachability.reachable_space` is a thin façade that
 builds the engine, picks a driver and delegates the loop.  Two drivers

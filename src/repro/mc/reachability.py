@@ -11,10 +11,10 @@ place of unions (paper, Sections I and III).
 :class:`~repro.image.engine.ImageEngine`, picks a fixpoint *driver*
 (:mod:`repro.mc.drivers` — ``sequential`` / ``frontier``) and
 delegates the loop, keeping only the bookkeeping
-(trace, stopwatch, GC baseline, engine teardown) here.
+(trace, stopwatch, GC baseline) here.
 :class:`ReachabilityCache` lets batch runners warm-start a fixpoint
 from a previously computed reachable space when only the image method
-or execution strategy changed — the reachable subspace itself is
+or the driver changed — the reachable subspace itself is
 method-independent.
 """
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.image.engine import ImageEngine
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
 from repro.mc.drivers import DEFAULT_DRIVER, make_driver
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
@@ -72,9 +71,6 @@ def reachable_space(qts: QuantumTransitionSystem,
                     initial: Optional[Subspace] = None,
                     max_iterations: int = 0,
                     gc: bool = True,
-                    strategy: str = "monolithic",
-                    jobs: Optional[int] = None,
-                    slice_depth: int = DEFAULT_SLICE_DEPTH,
                     direction: str = "forward",
                     bound: int = 0,
                     driver: str = DEFAULT_DRIVER,
@@ -85,10 +81,7 @@ def reachable_space(qts: QuantumTransitionSystem,
     ``max_iterations`` bounds the fixpoint loop (0 = until the
     dimension saturates, which needs at most ``2^n`` rounds).  The
     image computer (and therefore its cached transition TDDs) is
-    reused across iterations, as is the execution strategy's worker
-    pool and cofactor-slice cache when ``strategy="sliced"`` (see
-    :mod:`repro.image.sliced`; ``jobs`` sets the pool width,
-    ``slice_depth`` the number of top summed levels to fix).
+    reused across iterations.
 
     ``driver`` selects the fixpoint schedule (see
     :mod:`repro.mc.drivers`): ``frontier`` (the default; each round
@@ -102,8 +95,7 @@ def reachable_space(qts: QuantumTransitionSystem,
     see :meth:`~repro.systems.qts.QuantumTransitionSystem.adjoint`):
     the result is the space of states that can *reach* ``initial``,
     the standard symbolic-model-checking complement of forward
-    reachability.  All four methods, both execution strategies and both
-    drivers apply unchanged.  Direction validation happens once,
+    reachability.  All four methods and both drivers apply unchanged.  Direction validation happens once,
     in the :class:`~repro.image.engine.ImageEngine`; an unknown
     direction propagates from there as a :class:`ReproError`.
 
@@ -133,12 +125,9 @@ def reachable_space(qts: QuantumTransitionSystem,
     and GC activity of the whole run.
     """
     fixpoint = make_driver(driver)
-    engine = ImageEngine(qts, method, strategy=strategy, jobs=jobs,
-                         slice_depth=slice_depth, direction=direction,
-                         **params)
+    engine = ImageEngine(qts, method, direction=direction, **params)
     current = initial if initial is not None else qts.initial
     if current.dimension == 0:
-        engine.close()
         raise ReproError("reachability from the zero subspace is trivial; "
                          "set an initial space first")
     if warm_start is not None:
@@ -149,8 +138,6 @@ def reachable_space(qts: QuantumTransitionSystem,
     trace = ReachabilityTrace(subspace=current,
                               dimensions=[current.dimension],
                               direction=direction, bound=bound)
-    if strategy != "monolithic":
-        trace.stats.extra["strategy"] = strategy
     if direction != "forward":
         trace.stats.extra["direction"] = direction
     if driver != DEFAULT_DRIVER:
@@ -161,15 +148,8 @@ def reachable_space(qts: QuantumTransitionSystem,
     manager = qts.manager
     baseline = manager.cache_counters()
     watch = Stopwatch().start()
-    try:
-        fixpoint.run(engine, trace, limit, gc=gc)
-    finally:
-        # stop the clock before releasing the engine: the sliced
-        # strategy's pool shutdown (ProcessPoolExecutor.shutdown with
-        # wait=True) is teardown, not fixpoint work, and must not be
-        # billed to the trace
-        trace.stats.seconds = watch.stop()
-        engine.close()
+    fixpoint.run(engine, trace, limit, gc=gc)
+    trace.stats.seconds = watch.stop()
     if gc:
         manager.collect()
     trace.stats.record_manager(manager, baseline)
@@ -238,7 +218,7 @@ class ReachabilityCache:
 
     The fixpoint result depends on the transition relation, the
     initial subspace, the analysis direction and the depth bound — not
-    on the image method, the execution strategy or the driver.  The
+    on the image method or the driver.  The
     cache stores basis vectors through the :mod:`repro.tdd.io` dict
     codec, so an entry computed in one manager warm-starts a run whose
     QTS was rebuilt from scratch (the batch-sweep shape: every run

@@ -36,15 +36,13 @@ whichever backend produced the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.network import circuit_to_tdd
-from repro.image.base import input_sum_indices, rename_outputs_to_kets
-from repro.indices.index import Index
+from repro.image.basic import BasicImageComputer
 from repro.subspace.subspace import Subspace
 from repro.systems.qts import QuantumTransitionSystem
 from repro.tdd.tdd import TDD
+from repro.utils.stats import StatsRecorder
 
 
 @dataclass
@@ -81,29 +79,6 @@ class WitnessTrace:
         path = " -> ".join(self.symbols) if self.symbols else "<initial>"
         status = "valid" if self.valid else "INVALID"
         return f"WitnessTrace({self.kind}: {path}, {status})"
-
-
-class _CircuitApplier:
-    """Apply single Kraus circuits to ket states, caching operators.
-
-    The monolithic operator TDD of each circuit is built once per
-    extraction (witness traces live on small failing instances, where
-    the monolithic diagram is affordable) and shared between the
-    layering, the backward walk and the replay.
-    """
-
-    def __init__(self, qts: QuantumTransitionSystem) -> None:
-        self.qts = qts
-        self._operators: Dict[int, Tuple[TDD, List[Index], List[Index]]] = {}
-
-    def apply(self, circuit: QuantumCircuit, state: TDD) -> TDD:
-        key = id(circuit)
-        if key not in self._operators:
-            self._operators[key] = circuit_to_tdd(circuit, self.qts.manager)
-        operator, inputs, outputs = self._operators[key]
-        sum_over = input_sum_indices(inputs, outputs)
-        image_state = state.contract(operator, sum_over)
-        return rename_outputs_to_kets(self.qts.space, image_state, outputs)
 
 
 def _seed_in_vectors(vectors, target: Subspace, kind: str,
@@ -145,7 +120,12 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     reachable — i.e. when the corresponding verdict would not call for
     a trace in the first place.
     """
-    applier = _CircuitApplier(qts)
+    # one basic-method computer applies every Kraus circuit, adjoint
+    # ones included (the adjoint system shares qts's manager and space),
+    # building each monolithic operator once and sharing it between the
+    # layering, the backward walk and the replay
+    computer = BasicImageComputer(qts)
+    stats = StatsRecorder()
     start = initial if initial is not None else qts.initial
 
     # 1. forward layering up to the first event (or saturation) — only
@@ -166,7 +146,7 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
         for op in qts.operations:
             for circuit in op.kraus_circuits:
                 for vector in frontier:
-                    grown.add_state(applier.apply(circuit, vector))
+                    grown.add_state(computer.apply(circuit, vector, stats))
         if grown.dimension == current.dimension:
             return None  # saturated without the event: nothing to show
         frontier_start = current.dimension
@@ -183,7 +163,7 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
         best: Optional[Tuple[float, TDD, str]] = None
         for op in qts.operations:
             for circuit in op.adjoint().kraus_circuits:
-                pulled = applier.apply(circuit, states[i])
+                pulled = computer.apply(circuit, states[i], stats)
                 if pulled.norm() <= tol:
                     continue
                 predecessor = layers[i - 1].project_state(pulled)
@@ -206,7 +186,7 @@ def extract_witness_trace(qts: QuantumTransitionSystem,
     for symbol in symbols:
         op = qts.operation(symbol)
         step = qts.space.span(
-            [applier.apply(circuit, vector)
+            [computer.apply(circuit, vector, stats)
              for circuit in op.kraus_circuits
              for vector in replay.basis])
         subspaces.append(step)

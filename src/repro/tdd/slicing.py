@@ -12,8 +12,7 @@ of arbitrary depth under the default interpreter recursion limit.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.tdd.apply import unary_apply
 from repro.tdd.manager import TDDManager
@@ -42,44 +41,6 @@ def slice_edge(manager: TDDManager, edge: Edge, level: int, value: int) -> Edge:
         rebuild=lambda node, low, high: manager.make_node(node.level,
                                                           low, high),
         shortcut=shortcut)
-
-
-def slice_many(manager: TDDManager, edge: Edge,
-               assignment: Dict[int, int]) -> Edge:
-    """Slice several levels at once (applied top-down)."""
-    result = edge
-    for level in sorted(assignment):
-        result = slice_edge(manager, result, level, assignment[level])
-    return result
-
-
-def cofactor_assignments(levels: Sequence[int]
-                         ) -> Iterator[Dict[int, int]]:
-    """All ``2^k`` assignments of ``levels``, in lexicographic bit order.
-
-    The deterministic enumeration order matters: the sliced image
-    strategy adds cofactor results back together in this order whether
-    they were computed inline or on a process pool, so the recombined
-    diagram is identical for every ``--jobs`` setting.
-    """
-    ordered = sorted(levels)
-    for bits in itertools.product((0, 1), repeat=len(ordered)):
-        yield dict(zip(ordered, bits))
-
-
-def enumerate_cofactors(manager: TDDManager, edge: Edge,
-                        levels: Sequence[int]
-                        ) -> Iterator[Tuple[Dict[int, int], Edge]]:
-    """Yield ``(assignment, sliced edge)`` over all assignments of
-    ``levels``.
-
-    The cofactors sum back to the original tensor over the sliced
-    indices: ``T = sum_b T|_{levels=b}`` whenever the sliced indices
-    are summed away afterwards — the identity behind both the
-    addition-partition scheme and the parallel sliced image strategy.
-    """
-    for assignment in cofactor_assignments(levels):
-        yield assignment, slice_many(manager, edge, assignment)
 
 
 def first_nonzero_assignment(edge: Edge,

@@ -63,8 +63,9 @@ class TensorNetwork:
 
         Sums every index shared by the pair that is closed and unused
         elsewhere.  ``contract_fn(a, b, sum_over)`` overrides the plain
-        pairwise contraction — this is how the sliced execution
-        strategy injects itself into network folds.
+        pairwise contraction — the image methods pass their executor's
+        contraction call here, so a network fold makes its pairwise
+        contractions through the same call as the basic method.
         """
         if pos_a == pos_b:
             raise ValueError("cannot contract a tensor with itself")

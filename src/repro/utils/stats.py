@@ -40,14 +40,6 @@ class StatsRecorder:
     cont_misses: int = 0
     #: Bounded-cache evictions during the run.
     cache_evictions: int = 0
-    #: Cofactor subproblems executed by the sliced strategy.
-    slices: int = 0
-    #: Cofactor subproblems shipped to the worker pool.
-    parallel_tasks: int = 0
-    #: Cofactor batches that were meant for the pool but ran inline
-    #: (pool unavailable or broken mid-batch) — nonzero means the run
-    #: quietly lost parallelism.
-    pool_fallbacks: int = 0
     #: Image states offered to the Gram-Schmidt join, and those it
     #: rejected as already contained.
     join_offered: int = 0
@@ -130,9 +122,6 @@ class StatsRecorder:
         self.cont_hits += other.cont_hits
         self.cont_misses += other.cont_misses
         self.cache_evictions += other.cache_evictions
-        self.slices += other.slices
-        self.parallel_tasks += other.parallel_tasks
-        self.pool_fallbacks += other.pool_fallbacks
         self.join_offered += other.join_offered
         self.join_rejected += other.join_rejected
         self.gc_runs += other.gc_runs
@@ -157,9 +146,6 @@ class StatsRecorder:
             "cont_misses": self.cont_misses,
             "cont_hit_rate": self.cont_hit_rate,
             "cache_evictions": self.cache_evictions,
-            "slices": self.slices,
-            "parallel_tasks": self.parallel_tasks,
-            "pool_fallbacks": self.pool_fallbacks,
             "join_offered": self.join_offered,
             "join_rejected": self.join_rejected,
             "gc_runs": self.gc_runs,

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.image.engine import METHODS, compute_image, make_computer
+from repro.image.engine import (METHODS, ImageEngine, compute_image,
+                                make_computer)
+from repro.image.sliced import MonolithicExecutor
 from repro.systems import models
 
 
@@ -41,3 +43,30 @@ class TestComputeImage:
                                    **params)
             dims.add(result.dimension)
         assert len(dims) == 1
+
+
+class TestContractionCall:
+    """Every method makes its transition-relation contractions through
+    ``MonolithicExecutor.contract``, looked up at call time, so a
+    wrapper installed on the class after the engine is built still sees
+    each of them (the benchmark's span recorder relies on this)."""
+
+    @pytest.mark.parametrize("method,params", [
+        ("basic", {}), ("addition", {"k": 1}),
+        ("contraction", {"k1": 2, "k2": 2}),
+        ("hybrid", {"k": 1, "k1": 2, "k2": 2})])
+    def test_wrapper_on_the_class_sees_every_contraction(
+            self, monkeypatch, method, params):
+        calls = []
+        contract = MonolithicExecutor.contract
+
+        def counting(self, a, b, sum_over):
+            calls.append(sum_over)
+            return contract(self, a, b, sum_over)
+
+        engine = ImageEngine(models.grover_qts(3), method, **params)
+        monkeypatch.setattr(MonolithicExecutor, "contract", counting)
+        result = engine.compute_image()
+        assert calls
+        assert len(calls) == result.stats.contractions
+

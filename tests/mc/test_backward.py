@@ -82,16 +82,6 @@ class TestBackwardReachability:
         assert subspace_to_dense(trace.subspace).equals(
             subspace_to_dense(base.subspace))
 
-    def test_sliced_strategy_matches_monolithic_backward(self):
-        mono = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                               direction="backward")
-        sliced = reachable_space(models.qrw_qts(3, 0.2), method="basic",
-                                 direction="backward", strategy="sliced")
-        assert sliced.dimensions == mono.dimensions
-        d1 = subspace_to_dense(mono.subspace)
-        d2 = subspace_to_dense(sliced.subspace)
-        assert d1.equals(d2)
-
     def test_dense_backend_matches_tdd_backward(self):
         qts = models.qrw_qts(3, 0.2)
         start = qts.named_subspace("start")
@@ -275,6 +265,37 @@ class TestWitnessTraces:
             "AG plus", witness_trace=False)
         assert not result.holds
         assert result.witness_trace is None
+
+    def test_extractor_applies_circuits_through_the_image_layer(
+            self, monkeypatch):
+        # the witness shares the image methods' contraction call and
+        # operator cache: every application is a MonolithicExecutor
+        # contraction and each Kraus circuit (adjoints included) is
+        # built once per extraction
+        from repro.circuits import network
+        from repro.image.sliced import MonolithicExecutor
+        built, contracted = [], []
+        build = network.circuit_to_tdd
+        contract = MonolithicExecutor.contract
+
+        def counting_build(circuit, *args, **kwargs):
+            built.append(id(circuit))
+            return build(circuit, *args, **kwargs)
+
+        def counting_contract(self, a, b, sum_over):
+            contracted.append(sum_over)
+            return contract(self, a, b, sum_over)
+
+        monkeypatch.setattr(network, "circuit_to_tdd", counting_build)
+        monkeypatch.setattr(MonolithicExecutor, "contract",
+                            counting_contract)
+        qts = models.bitflip_qts()
+        trace = extract_witness_trace(qts, "AG",
+                                      qts.named_subspace("errors"))
+        assert trace is not None and trace.valid
+        assert trace.symbols == ["correct"]
+        assert contracted
+        assert built and len(built) == len(set(built))
 
     def test_extractor_returns_none_without_event(self):
         qts = models.grover_qts(3)

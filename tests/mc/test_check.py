@@ -10,16 +10,13 @@ from repro.mc.specs import parse_spec
 from repro.systems import models
 
 #: every symbolic configuration of the acceptance matrix: the four
-#: image methods, monolithic and sliced
+#: image methods
 TDD_CONFIGS = [
     CheckerConfig(method="basic"),
     CheckerConfig(method="addition", method_params={"k": 1}),
     CheckerConfig(method="contraction", method_params={"k1": 2, "k2": 2}),
     CheckerConfig(method="hybrid",
                   method_params={"k": 1, "k1": 2, "k2": 2}),
-    CheckerConfig(method="basic", strategy="sliced"),
-    CheckerConfig(method="contraction", strategy="sliced",
-                  method_params={"k1": 2, "k2": 2}),
 ]
 
 ALL_CONFIGS = TDD_CONFIGS + [CheckerConfig(backend="dense")]

@@ -6,9 +6,9 @@ import warnings
 
 import pytest
 
-from repro.bench.sweep import RunSpec
+from repro.bench.sweep import RunSpec, SweepSpec
 from repro.errors import ConfigError, ReproError
-from repro.image.sliced import DEFAULT_SLICE_DEPTH
+from repro.image.engine import compute_image
 from repro.mc.backends import make_backend
 from repro.mc.checker import ModelChecker
 from repro.mc.config import BACKENDS, CheckerConfig
@@ -21,11 +21,10 @@ class TestValidation:
         config = CheckerConfig()
         assert config.backend == "tdd"
         assert config.method == "contraction"
-        assert config.strategy == "monolithic"
 
     @pytest.mark.parametrize("field,value", [
         ("backend", "quantum-annealer"), ("method", "nonsense"),
-        ("strategy", "nonsense")])
+        ("driver", "nonsense")])
     def test_unknown_names_rejected(self, field, value):
         with pytest.raises(ConfigError, match="unknown"):
             CheckerConfig(**{field: value})
@@ -47,20 +46,6 @@ class TestValidation:
                                method_params={"k": 1, "k1": 2, "k2": 2})
         assert config.method_params == {"k": 1, "k1": 2, "k2": 2}
 
-    def test_jobs_requires_sliced_strategy(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig(jobs=2)
-        assert CheckerConfig(strategy="sliced", jobs=2).jobs == 2
-
-    def test_slice_depth_requires_sliced_strategy(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig(slice_depth=1)
-        assert CheckerConfig(strategy="sliced", slice_depth=1).slice_depth == 1
-
-    def test_bad_jobs_value_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            CheckerConfig(strategy="sliced", jobs=0)
-
     def test_dense_rejects_tdd_only_options(self):
         # the regression for the old silent-drop behaviour: tdd knobs
         # with the dense backend must raise, not vanish
@@ -70,7 +55,7 @@ class TestValidation:
             CheckerConfig(backend="dense",
                           method_params={"k1": 4, "k2": 4})
         with pytest.raises(ConfigError, match="tdd-only"):
-            CheckerConfig(backend="dense", strategy="sliced", jobs=2)
+            CheckerConfig(backend="dense", method="hybrid")
 
     def test_dense_accepts_max_qubits(self):
         assert CheckerConfig(backend="dense", max_qubits=8).max_qubits == 8
@@ -102,8 +87,8 @@ class TestRoundTrips:
     CONFIGS = [
         CheckerConfig(),
         CheckerConfig(method="addition", method_params={"k": 2}),
-        CheckerConfig(method="contraction", strategy="sliced", jobs=4,
-                      slice_depth=1, method_params={"k1": 2, "k2": 3}),
+        CheckerConfig(method="contraction", method_params={"k1": 2, "k2": 3},
+                      direction="backward", bound=2, driver="sequential"),
         CheckerConfig(backend="dense", max_qubits=10),
     ]
 
@@ -124,10 +109,10 @@ class TestRoundTrips:
             CheckerConfig.from_json("[1, 2]")
 
     def test_describe_mentions_the_knobs(self):
-        text = CheckerConfig(strategy="sliced", jobs=4,
+        text = CheckerConfig(direction="backward", driver="sequential",
                              method_params={"k1": 2, "k2": 2}).describe()
-        assert "strategy=sliced" in text
-        assert "jobs=4" in text
+        assert "direction=backward" in text
+        assert "driver=sequential" in text
         assert "k1=2" in text
         dense = CheckerConfig(backend="dense").describe()
         assert "backend=dense" in dense
@@ -136,9 +121,7 @@ class TestRoundTrips:
 
 def _cli_args(**overrides) -> argparse.Namespace:
     """A namespace mirroring the CLI defaults for engine flags."""
-    defaults = dict(backend="tdd", method="contraction", strategy="monolithic",
-                    jobs=None, slice_depth=DEFAULT_SLICE_DEPTH,
-                    k=1, k1=4, k2=4)
+    defaults = dict(backend="tdd", method="contraction", k=1, k1=4, k2=4)
     defaults.update(overrides)
     return argparse.Namespace(**defaults)
 
@@ -171,17 +154,7 @@ class TestFromCliArgs:
             CheckerConfig.from_cli_args(_cli_args(backend="dense", k1=6))
         with pytest.raises(ConfigError):
             CheckerConfig.from_cli_args(
-                _cli_args(backend="dense", jobs=2))
-
-    def test_jobs_without_sliced_raises(self):
-        with pytest.raises(ConfigError, match="sliced"):
-            CheckerConfig.from_cli_args(_cli_args(jobs=2))
-
-    def test_sliced_flags_flow_through(self):
-        config = CheckerConfig.from_cli_args(
-            _cli_args(strategy="sliced", jobs=3, slice_depth=1))
-        assert (config.strategy, config.jobs, config.slice_depth) == \
-            ("sliced", 3, 1)
+                _cli_args(backend="dense", method="hybrid"))
 
 
 class TestLegacyShims:
@@ -233,8 +206,9 @@ def _qts():
     return models.ghz_qts(3)
 
 
-#: every spelling the config replaced, and the frontier flag and the
-#: opsharded driver: each must fail at the call, not warn and carry on
+#: every spelling the config replaced, the frontier flag, the opsharded
+#: driver and the sliced execution strategy's knobs: each must fail at
+#: the call, not warn and carry on
 REMOVED_SPELLINGS = {
     "checker-method-kwarg": lambda: ModelChecker(_qts(), method="basic"),
     "checker-positional-method": lambda: ModelChecker(_qts(), "basic"),
@@ -245,6 +219,14 @@ REMOVED_SPELLINGS = {
         {"model": "ghz", "size": 3, "method": "basic"}),
     "opsharded-driver": lambda: CheckerConfig(driver="opsharded"),
     "frontier-flag": lambda: reachable_space(_qts(), frontier=True),
+    "config-strategy": lambda: CheckerConfig(strategy="sliced"),
+    "config-dict-strategy": lambda: CheckerConfig.from_dict(
+        {"strategy": "sliced"}),
+    "reachable-strategy": lambda: reachable_space(_qts(), strategy="sliced"),
+    "compute-image-jobs": lambda: compute_image(_qts(), jobs=2),
+    "sweep-strategies-axis": lambda: SweepSpec.from_dict(
+        {"models": ["ghz"], "sizes": [3],
+         "strategies": ["monolithic", "sliced"]}),
 }
 
 

@@ -38,10 +38,10 @@ def equal_spaces(a, b):
 class TestPartialImage:
     def test_partial_image_with_all_circuits_is_image(self):
         qts = models.grover_qts(3)
-        with ImageEngine(qts, "basic") as engine:
-            full = engine.computer.image(qts.initial).subspace
-            partial = engine.computer.partial_image(
-                qts.initial.basis, qts.all_kraus_circuits()).subspace
+        engine = ImageEngine(qts, "basic")
+        full = engine.computer.image(qts.initial).subspace
+        partial = engine.computer.partial_image(
+            qts.initial.basis, qts.all_kraus_circuits()).subspace
         assert equal_spaces(full, partial)
 
 
@@ -206,30 +206,30 @@ class TestSinglePassJoin:
         branches = len(qts.all_kraus_circuits())
         fixpoint = make_driver(driver)
         rounds = 0
-        with ImageEngine(qts, "basic") as engine:
-            current = qts.initial
-            source = len(current.basis)
-            fixpoint.begin(engine, current)
-            while True:
-                basis_before = list(current.basis)
-                calls.clear()
-                grown = fixpoint.advance(engine, current, StatsRecorder())
-                rounds += 1
-                # basic images every source state once per Kraus branch
-                assert len(calls) == source * branches
-                # the accumulator is grown in a copy, never in place
-                assert current.basis == basis_before
-                # frontier soundness: the old basis is the exact prefix
-                assert all(kept is original for kept, original
-                           in zip(grown.basis, current.basis))
-                assert len(grown.basis) >= len(current.basis)
-                if grown.dimension == current.dimension:
-                    break
-                fixpoint.observe(engine, current, grown)
-                growth = grown.dimension - current.dimension
-                source = (growth if driver == "frontier"
-                          else grown.dimension)
-                current = grown
+        engine = ImageEngine(qts, "basic")
+        current = qts.initial
+        source = len(current.basis)
+        fixpoint.begin(engine, current)
+        while True:
+            basis_before = list(current.basis)
+            calls.clear()
+            grown = fixpoint.advance(engine, current, StatsRecorder())
+            rounds += 1
+            # basic images every source state once per Kraus branch
+            assert len(calls) == source * branches
+            # the accumulator is grown in a copy, never in place
+            assert current.basis == basis_before
+            # frontier soundness: the old basis is the exact prefix
+            assert all(kept is original for kept, original
+                       in zip(grown.basis, current.basis))
+            assert len(grown.basis) >= len(current.basis)
+            if grown.dimension == current.dimension:
+                break
+            fixpoint.observe(engine, current, grown)
+            growth = grown.dimension - current.dimension
+            source = (growth if driver == "frontier"
+                      else grown.dimension)
+            current = grown
         assert rounds > 2
         assert current.dimension == 16
 

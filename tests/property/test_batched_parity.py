@@ -14,7 +14,7 @@ per-circuit contributions) pinned at the level of canonical diagrams.
 
 Checked on the multi-Kraus table-1 families — bitflip (four syndrome
 branches) plus depolarizing-noise GHZ and QFT (four channel branches)
-— in both analysis directions and under both execution strategies.
+— in both analysis directions.
 """
 
 import numpy as np
@@ -52,19 +52,18 @@ FAMILIES = {
 }
 
 
-def scalar_loop(qts, strategy="monolithic", direction="forward"):
+def scalar_loop(qts, direction="forward"):
     """``T(S)`` rebuilt one (basis state, Kraus branch) pair at a time.
 
     Returns the joined subspace and the contractions it spent.
     """
     stats = StatsRecorder()
-    with ImageEngine(qts, "basic", strategy=strategy,
-                     direction=direction) as engine:
-        result = Subspace(qts.space)
-        for state in qts.initial.basis:
-            for circuit in engine.system.all_kraus_circuits():
-                result = engine.computer.partial_image(
-                    [state], [circuit], stats, into=result).subspace
+    engine = ImageEngine(qts, "basic", direction=direction)
+    result = Subspace(qts.space)
+    for state in qts.initial.basis:
+        for circuit in engine.system.all_kraus_circuits():
+            result = engine.computer.partial_image(
+                [state], [circuit], stats, into=result).subspace
     return result, stats.contractions
 
 
@@ -79,12 +78,10 @@ def assert_canonically_equal(a, b) -> None:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-@pytest.mark.parametrize("strategy", ["monolithic", "sliced"])
-def test_batched_image_matches_scalar_loop(family, direction, strategy):
+def test_batched_image_matches_scalar_loop(family, direction):
     qts = FAMILIES[family]()
-    batched = compute_image(qts, method="basic", strategy=strategy,
-                            direction=direction)
-    scalar, _ = scalar_loop(qts, strategy, direction)
+    batched = compute_image(qts, method="basic", direction=direction)
+    scalar, _ = scalar_loop(qts, direction)
     assert batched.dimension == scalar.dimension
     assert len(batched.subspace.basis) == len(scalar.basis)
     for a, b in zip(batched.subspace.basis, scalar.basis):

@@ -134,14 +134,14 @@ class TestKnownContained:
 class TestPartialImageLeavesInto:
     def test_into_basis_and_memo_unchanged(self):
         qts = models.qrw_qts(3, 0.2)
-        with ImageEngine(qts, "basic") as engine:
-            computer = engine.computer
-            start = computer.partial_image(
-                qts.initial.basis, qts.all_kraus_circuits()).subspace
-            basis = list(start.basis)
-            memo = dict(start._contained)
-            grown = computer.partial_image(
-                start.basis, qts.all_kraus_circuits(), into=start).subspace
+        engine = ImageEngine(qts, "basic")
+        computer = engine.computer
+        start = computer.partial_image(
+            qts.initial.basis, qts.all_kraus_circuits()).subspace
+        basis = list(start.basis)
+        memo = dict(start._contained)
+        grown = computer.partial_image(
+            start.basis, qts.all_kraus_circuits(), into=start).subspace
         assert grown.dimension > start.dimension
         assert start.basis == basis
         assert start._contained == memo

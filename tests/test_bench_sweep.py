@@ -14,9 +14,8 @@ from repro.mc.config import CheckerConfig
 from repro.mc.drivers import DEFAULT_DRIVER
 
 
-def tiny_spec(name="tiny", strategies=("monolithic",)):
-    return SweepSpec.from_axes(name, ["ghz", "bv"], [3],
-                               methods=["basic"], strategies=strategies)
+def tiny_spec(name="tiny"):
+    return SweepSpec.from_axes(name, ["ghz", "bv"], [3], methods=["basic"])
 
 
 class TestRunSpec:
@@ -24,7 +23,7 @@ class TestRunSpec:
         spec = RunSpec(model="ghz", size=4)
         assert spec.label == "ghz4"
         assert spec.method == "contraction"
-        assert spec.run_id == "ghz4/contraction/tdd/monolithic"
+        assert spec.run_id == "ghz4/contraction/tdd"
 
     def test_run_id_includes_params(self):
         spec = RunSpec(model="grover", size=5,
@@ -32,14 +31,8 @@ class TestRunSpec:
                            method="contraction",
                            method_params={"k1": 2, "k2": 3}),
                        model_params={"iterations": 2})
-        assert spec.run_id == ("grover5/contraction/tdd/monolithic/"
+        assert spec.run_id == ("grover5/contraction/tdd/"
                                "k1=2,k2=3/iterations=2")
-
-    def test_run_id_distinguishes_strategies(self):
-        mono = RunSpec(model="ghz", size=3)
-        sliced = RunSpec(model="ghz", size=3,
-                         config=CheckerConfig(strategy="sliced", jobs=4))
-        assert mono.run_id != sliced.run_id
 
     def test_dict_round_trip(self):
         spec = RunSpec(model="qrw", size=5,
@@ -50,7 +43,7 @@ class TestRunSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("model", "nonsense"), ("method", "nonsense"),
-        ("backend", "nonsense"), ("strategy", "nonsense")])
+        ("backend", "nonsense"), ("driver", "nonsense")])
     def test_validation(self, field, value):
         with pytest.raises(ReproError):
             if field == "model":
@@ -68,7 +61,7 @@ class TestRunSpecConfigForm:
             spec = RunSpec(model="ghz", size=4,
                            config=CheckerConfig(method="basic"))
         assert spec.method == "basic"
-        assert spec.run_id == "ghz4/basic/tdd/monolithic"
+        assert spec.run_id == "ghz4/basic/tdd"
 
     def test_config_plus_legacy_rejected(self):
         with pytest.raises(TypeError, match="method"):
@@ -76,15 +69,16 @@ class TestRunSpecConfigForm:
                     method="basic")
 
     def test_run_id_format_survives_the_api_change(self):
-        # resume keys must match pre-config artifacts
-        legacy_style = RunSpec(
+        # every segment but the retired execution strategy keeps its
+        # place: model+size, method, backend, the non-default engine
+        # settings, then method and model parameters
+        run = RunSpec(
             model="grover", size=5,
-            config=CheckerConfig(method="contraction", strategy="sliced",
-                                 jobs=4,
+            config=CheckerConfig(method="contraction", driver="sequential",
                                  method_params={"k1": 2, "k2": 3}),
             model_params={"iterations": 2})
-        assert legacy_style.run_id == (
-            "grover5/contraction/tdd/sliced/jobs=4,depth=2/"
+        assert run.run_id == (
+            "grover5/contraction/tdd/driver=sequential/"
             "k1=2,k2=3/iterations=2")
 
     def test_spec_run_id_and_round_trip(self):
@@ -113,12 +107,18 @@ class TestRunSpecConfigForm:
         with pytest.raises(ConfigError, match='"config"'):
             RunSpec.from_dict({"model": "ghz", "size": 4, field: value})
 
+    @pytest.mark.parametrize("key", ["lable", "models"])
+    def test_from_dict_rejects_unknown_keys(self, key):
+        # a ConfigError that names the key, not a constructor TypeError
+        with pytest.raises(ConfigError, match=repr(key)):
+            RunSpec.from_dict({"model": "ghz", "size": 4, key: 1})
+
 
 class TestSweepSpec:
     def test_axes_product(self):
         spec = SweepSpec.from_axes("s", ["ghz", "bv"], [3, 4],
                                    methods=["basic", "contraction"],
-                                   strategies=["monolithic", "sliced"])
+                                   directions=["forward", "backward"])
         assert len(spec.runs) == 2 * 2 * 2 * 2
         assert len({run.run_id for run in spec.runs}) == len(spec.runs)
 
@@ -140,6 +140,22 @@ class TestSweepSpec:
         with pytest.raises(ReproError):
             SweepSpec.from_dict({"name": "broken"})
 
+    @pytest.mark.parametrize("key", ["method", "strategies",
+                                     "jobs_per_run", "slice_depth"])
+    def test_from_dict_rejects_unknown_axis_keys(self, key):
+        # a typo ("method" for "methods") or a retired axis must not
+        # run the default grid
+        with pytest.raises(ConfigError, match=repr(key)):
+            SweepSpec.from_dict({"models": ["ghz"], "sizes": [3],
+                                 key: ["basic"]})
+
+    def test_from_dict_rejects_runs_next_to_axes(self):
+        # a run list must not silently drop the axes beside it
+        with pytest.raises(ConfigError, match="'methods'"):
+            SweepSpec.from_dict({
+                "runs": [{"model": "ghz", "size": 3}],
+                "methods": ["basic"]})
+
     def test_json_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(tiny_spec().as_dict()))
@@ -156,7 +172,7 @@ class TestSweepSpec:
         assert spec.runs[1].spec == "AG inv"
 
     def test_dense_runs_deduplicated_across_methods(self):
-        # the dense backend ignores methods/strategies: crossing it
+        # the dense backend ignores methods: crossing it
         # with those axes must not duplicate work
         spec = SweepSpec.from_axes("s", ["ghz"], [3],
                                    methods=["basic", "contraction"],
@@ -180,13 +196,6 @@ class TestExecuteRun:
         assert record["dimension"] == 1
         assert record["seconds"] > 0
         assert not record["failed"]
-
-    def test_sliced_strategy_record(self):
-        record = execute_run(RunSpec(model="qrw", size=4,
-                                     config=CheckerConfig(
-                                         method="basic", strategy="sliced"),
-                                     model_params={"steps": 2}))
-        assert record["slices"] > 0
 
     def test_failure_is_captured_not_raised(self):
         # the dense backend refuses large systems — a failed cell must
@@ -240,7 +249,6 @@ class TestExecuteRun:
         assert record["direction"] == "forward"
         assert record["bound"] == 0
         assert record["trace_length"] == 0
-        assert record["pool_fallbacks"] == 0
 
 
 class TestDirectionAxes:
@@ -260,7 +268,7 @@ class TestDirectionAxes:
         # leave the pre-existing run_id format untouched
         run = RunSpec(model="ghz", size=4,
                       config=CheckerConfig(method="basic"))
-        assert run.run_id == "ghz4/basic/tdd/monolithic"
+        assert run.run_id == "ghz4/basic/tdd"
 
     def test_from_dict_direction_axes(self):
         spec = SweepSpec.from_dict({
@@ -348,7 +356,7 @@ class TestRunSweep:
     def test_format_records_table(self):
         result = run_sweep(tiny_spec())
         text = format_records(result.records)
-        assert "ghz3/basic/tdd/monolithic" in text
+        assert "ghz3/basic/tdd" in text
 
     def test_property_check_sweep_resumes_and_emits_verdict_csv(
             self, tmp_path):
@@ -381,16 +389,13 @@ class TestDriverAxisAndWarmStart:
         # dashboards parse these columns by name and position
         assert CSV_COLUMNS == (
             "run_id", "label", "model", "size", "method", "backend",
-            "strategy", "jobs", "slice_depth", "driver", "direction",
-            "bound", "spec", "verdict", "witness_dimension",
+            "driver", "direction", "bound", "spec", "verdict", "witness_dimension",
             "trace_length", "trace_valid", "iterations", "converged",
             "cache_warm", "store_hit", "dimension", "seconds",
             "max_nodes",
             "contractions", "additions", "cache_hits", "cache_misses",
             "cache_hit_rate", "add_hit_rate", "cont_hit_rate",
-            "cache_evictions", "slices",
-            "parallel_tasks", "pool_fallbacks", "gc_runs",
-            "nodes_reclaimed", "peak_live_nodes", "live_nodes",
+            "cache_evictions", "gc_runs", "nodes_reclaimed", "peak_live_nodes", "live_nodes",
             "failed", "error",
         )
 
@@ -408,7 +413,7 @@ class TestDriverAxisAndWarmStart:
         # legacy artifacts must still resume
         run = RunSpec(model="ghz", size=4,
                       config=CheckerConfig(method="basic"))
-        assert run.run_id == "ghz4/basic/tdd/monolithic"
+        assert run.run_id == "ghz4/basic/tdd"
 
     def test_drivers_collapse_for_image_rows(self):
         # a plain image benchmark runs no fixpoint: the driver axis

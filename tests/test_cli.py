@@ -76,10 +76,6 @@ class TestCheck:
             assert main(["check", "grover", "--size", "3",
                          "--spec", "EF marked", "--method", method]) == 0
 
-    def test_sliced_strategy(self, capsys):
-        assert main(["check", "grover", "--size", "3",
-                     "--spec", "AG inv", "--strategy", "sliced"]) == 0
-
     def test_all_drivers_agree(self, capsys):
         for driver in ("sequential", "frontier"):
             assert main(["check", "grover", "--size", "3",
@@ -156,15 +152,6 @@ class TestConfigValidation:
                      "--method", "basic"]) == 2
         assert "tdd-only" in capsys.readouterr().err
 
-    def test_dense_with_explicit_jobs_rejected(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--backend", "dense",
-                     "--strategy", "sliced", "--jobs", "2"]) == 2
-        assert "tdd-only" in capsys.readouterr().err
-
-    def test_jobs_without_sliced_rejected(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--jobs", "2"]) == 2
-        assert "sliced" in capsys.readouterr().err
-
     def test_dense_with_default_flags_still_works(self, capsys):
         assert main(["image", "ghz", "--size", "3",
                      "--backend", "dense"]) == 0
@@ -201,32 +188,27 @@ class TestInvariant:
 
 
 class TestStrategyFlags:
-    def test_image_sliced_inline(self, capsys):
-        assert main(["image", "qrw", "--size", "3",
-                     "--strategy", "sliced"]) == 0
-        out = capsys.readouterr().out
-        assert "strategy=sliced" in out
-        assert "cofactors" in out
+    """The sliced execution strategy's flags are gone: argparse rejects
+    them (exit code 2) instead of running a default configuration."""
 
-    def test_image_sliced_jobs(self, capsys):
-        assert main(["image", "ghz", "--size", "3", "--method", "basic",
-                     "--strategy", "sliced", "--jobs", "2"]) == 0
-        assert "jobs=2" in capsys.readouterr().out
-
-    def test_reach_sliced_matches_monolithic(self, capsys):
-        assert main(["reach", "qrw", "--size", "3",
-                     "--strategy", "sliced"]) == 0
-        sliced_out = capsys.readouterr().out
-        assert main(["reach", "qrw", "--size", "3"]) == 0
-        mono_out = capsys.readouterr().out
-        def dims(text):
-            return [line for line in text.splitlines()
-                    if line.startswith("dimensions")]
-        assert dims(sliced_out) == dims(mono_out)
-
-    def test_slice_depth_flag(self, capsys):
-        assert main(["image", "qrw", "--size", "3", "--strategy",
-                     "sliced", "--slice-depth", "1"]) == 0
+    @pytest.mark.parametrize("argv", [
+        [command, "grover", "--size", "3", flag, value]
+        for command in ("image", "reach", "check", "invariant")
+        for flag, value in (("--strategy", "sliced"), ("--jobs", "2"),
+                            ("--slice-depth", "1"))
+    ] + [
+        ["smoke", "--strategy", "sliced"],
+        ["smoke", "--jobs", "2"],
+        ["sweep", "--models", "ghz", "--sizes", "3",
+         "--strategies", "monolithic,sliced"],
+    ], ids=" ".join)
+    def test_rejected_by_argparse(self, argv, capsys):
+        if argv[0] == "check":
+            argv = argv + ["--spec", "AG inv"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
@@ -249,7 +231,7 @@ class TestSweepCommand:
         assert main(["sweep", "--models", "ghz", "--sizes", "3",
                      "--methods", "basic", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "ghz3/basic/tdd/monolithic" in out
+        assert "ghz3/basic/tdd: dim=" in out
         assert (tmp_path / "sweep.json").exists()
         assert (tmp_path / "sweep.csv").exists()
 
@@ -260,7 +242,7 @@ class TestSweepCommand:
             "name": "cli-test", "models": ["bv"], "sizes": [3],
             "methods": ["basic"]}))
         assert main(["sweep", "--spec", str(spec_path)]) == 0
-        assert "bv3/basic/tdd/monolithic" in capsys.readouterr().out
+        assert "bv3/basic/tdd: dim=" in capsys.readouterr().out
 
     def test_missing_axes_rejected(self):
         with pytest.raises(SystemExit):
@@ -274,11 +256,12 @@ class TestSweepCommand:
 
 
 class TestBenchForwarders:
-    def test_smoke_strategy_forward(self, capsys):
-        # the smoke wrapper forwards strategy flags to the harness
-        assert main(["smoke", "--model", "ghz", "--size", "3",
-                     "--strategy", "monolithic"]) == 0
-        assert "strategy=monolithic" in capsys.readouterr().out
+    def test_smoke_forward(self, capsys):
+        # the smoke wrapper forwards --model/--size to the harness
+        assert main(["smoke", "--model", "ghz", "--size", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "Smoke benchmark" in out
+        assert "ghz3" in out
 
 
 class TestStoreFlag:

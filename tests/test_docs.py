@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import main
 from repro.image.engine import METHODS
-from repro.image.sliced import STRATEGIES
 from repro.mc.config import BACKENDS
 from repro.systems import models
 
@@ -52,8 +51,7 @@ class TestCliReferenceInSync:
 
     def test_image_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["image", "--help"])
-        for flag in ("--size", "--method", "--backend", "--strategy",
-                     "--jobs", "--slice-depth", "--k1", "--k2",
+        for flag in ("--size", "--method", "--backend", "--k1", "--k2",
                      "--direction", "--bound"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
@@ -63,7 +61,7 @@ class TestCliReferenceInSync:
     def test_check_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["check", "--help"])
         for flag in ("--spec", "--max-iterations", "--backend",
-                     "--strategy", "--direction", "--bound", "--driver"):
+                     "--direction", "--bound", "--driver"):
             assert flag in text
             assert flag.lstrip("-").replace("-", "") in \
                 readme.replace("-", ""), \
@@ -90,7 +88,7 @@ class TestCliReferenceInSync:
     def test_sweep_flags_documented(self, capsys, readme):
         text = help_text(capsys, ["sweep", "--help"])
         for flag in ("--spec", "--models", "--sizes", "--methods",
-                     "--backends", "--strategies", "--directions",
+                     "--backends", "--directions",
                      "--bounds", "--drivers", "--check", "--jobs",
                      "--out", "--no-resume", "--no-warm-start"):
             assert flag in text
@@ -101,8 +99,6 @@ class TestCliReferenceInSync:
         from repro.mc.drivers import DRIVERS
         for method in METHODS:
             assert method in readme
-        for strategy in STRATEGIES:
-            assert strategy in readme
         for backend in BACKENDS:
             assert backend in readme
         for direction in DIRECTIONS:
